@@ -133,8 +133,8 @@ let strategy_arg =
   let doc =
     "Search strategy: bfs (the paper's breadth-first descent), split \
      (count-weighted binary splitting), delta (Precimonious-style \
-     delta-debugging), anneal[:seed] (shadow-seeded greedy descent with \
-     random restarts), or the legacy ddmax/greedy baselines."
+     delta-debugging) or anneal[:seed] (shadow-seeded greedy descent with \
+     random restarts)."
   in
   Arg.(value & opt string "bfs" & info [ "s"; "strategy" ] ~docv:"STRATEGY" ~doc)
 
@@ -289,6 +289,7 @@ let search_cmd =
       backend_name cache_stats formats_menu =
     with_kernel name cls (fun k ->
         let formats = parse_formats_menu formats_menu in
+        let strategy = or_die (Strategy.of_string strategy) in
         if resume && journal_path = None && checkpoint_path = None then begin
           prerr_endline "craft: --resume requires --journal FILE or --checkpoint FILE";
           exit 1
@@ -324,12 +325,6 @@ let search_cmd =
         let shadow_opts =
           if not use_shadow then None
           else begin
-            (match strategy with
-            | "ddmax" | "greedy" ->
-                prerr_endline
-                  "craft: note: --shadow does not guide the legacy ddmax/greedy \
-                   baselines"
-            | _ -> ());
             let tracer =
               Shadow_tracer.create
                 ~config:(Shadow_tracer.all_single ~base:k.Kernel.hints k.Kernel.program)
@@ -352,7 +347,7 @@ let search_cmd =
           end
         in
         (* The supervised pool is staffed whenever parallelism or a deadline
-           asks for it; the CLI owns it (Bfs/Strategies only borrow it). *)
+           asks for it; the CLI owns it (the search only borrows it). *)
         let pool =
           if workers > 1 || deadline <> None then
             Some
@@ -376,130 +371,69 @@ let search_cmd =
                 ~restore_counters:(Harness.restore_counters harness) path)
             checkpoint_path
         in
-        let snapshots = ref 0 in
-        (match strategy with
-        | "bfs" -> (
-            (* first ^C asks the search to stop at the next wave boundary
-               (final checkpoint flushed, partial result composed); a
-               second ^C aborts outright *)
-            let interrupt = Atomic.make false in
-            let prev_sigint =
-              Sys.signal Sys.sigint
-                (Sys.Signal_handle
-                   (fun _ ->
-                     if Atomic.get interrupt then exit 130
-                     else begin
-                       Atomic.set interrupt true;
-                       prerr_endline
-                         "craft: SIGINT — finishing the current wave, flushing a final \
-                          checkpoint, composing the partial result (^C again to abort)"
-                     end))
-            in
-            let options =
-              {
-                Bfs.default_options with
-                workers;
-                base = k.Kernel.hints;
-                pool;
-                checkpoint;
-                shadow = shadow_opts;
-                formats;
-                stop = (fun () -> Atomic.get interrupt);
-              }
-            in
-            let rec_ = Analysis.recommend_target ~options target ~setup:k.Kernel.setup in
-            Sys.set_signal Sys.sigint prev_sigint;
-            snapshots := rec_.Analysis.result.Bfs.snapshots;
-            if rec_.Analysis.result.Bfs.interrupted then
+        (* first ^C asks the search to stop at the next wave boundary (final
+           checkpoint flushed, partial result composed); a second ^C aborts
+           outright *)
+        let interrupt = Atomic.make false in
+        let prev_sigint =
+          Sys.signal Sys.sigint
+            (Sys.Signal_handle
+               (fun _ ->
+                 if Atomic.get interrupt then exit 130
+                 else begin
+                   Atomic.set interrupt true;
+                   prerr_endline
+                     "craft: SIGINT — finishing the current wave, flushing a final \
+                      checkpoint, composing the partial result (^C again to abort)"
+                 end))
+        in
+        let options =
+          {
+            Bfs.default_options with
+            workers;
+            base = k.Kernel.hints;
+            pool;
+            checkpoint;
+            shadow = shadow_opts;
+            formats;
+            stop = (fun () -> Atomic.get interrupt);
+          }
+        in
+        let r, recommendation =
+          match strategy with
+          | Strategy.Bfs ->
+              let rec_ = Analysis.recommend_target ~options target ~setup:k.Kernel.setup in
+              (rec_.Analysis.result, Some rec_)
+          | tok -> (Strategy.run ~options tok target, None)
+        in
+        Sys.set_signal Sys.sigint prev_sigint;
+        if r.Bfs.interrupted then
+          Format.printf
+            "search INTERRUPTED — the report below is the partial result (union of \
+             the structures that had passed); resume with --checkpoint/--resume@.";
+        let text, tree =
+          match recommendation with
+          | Some rec_ ->
+              Format.printf "%a@." Analysis.pp_summary rec_;
+              if use_shadow then
+                Format.printf "shadow: pruned %d candidate evaluation(s)@." r.Bfs.pruned;
+              (rec_.Analysis.config_text, rec_.Analysis.tree)
+          | None ->
               Format.printf
-                "search INTERRUPTED — the report below is the partial result (union of \
-                 the structures that had passed); resume with --checkpoint/--resume@.";
-            Format.printf "%a@." Analysis.pp_summary rec_;
-            if use_shadow then
-              Format.printf "shadow: pruned %d candidate evaluation(s)@."
-                rec_.Analysis.result.Bfs.pruned;
-            match out with
-            | Some path ->
-                let oc = open_out path in
-                output_string oc rec_.Analysis.config_text;
-                close_out oc;
-                Format.printf "final configuration written to %s@." path
-            | None -> print_string rec_.Analysis.tree)
-        | ("ddmax" | "greedy") as s ->
-            let f =
-              if String.equal s "ddmax" then Strategies.delta_debug else Strategies.greedy_grow
-            in
-            let r = f ?pool ~base:k.Kernel.hints ~formats target in
-            Format.printf
-              "strategy %s: tested %d configurations, replaced %d of %d candidates, %d \
-               bit(s) saved (%s)@."
-              s r.Strategies.tested r.Strategies.static_replaced r.Strategies.candidates
-              (Config.bits_saved k.Kernel.program r.Strategies.final)
-              (if r.Strategies.final_pass then "pass" else "fail");
-            (match out with
-            | Some path ->
-                let oc = open_out path in
-                output_string oc (Config.print k.Kernel.program r.Strategies.final);
-                close_out oc;
-                Format.printf "final configuration written to %s@." path
-            | None -> print_string (Tree_view.render k.Kernel.program r.Strategies.final))
-        | s -> (
-            match Strategy.of_string s with
-            | Error why ->
-                prerr_endline ("craft: " ^ why);
-                exit 1
-            | Ok tok ->
-                (* same SIGINT contract as the bfs arm: first ^C stops at a
-                   wave boundary with a final checkpoint, second ^C aborts *)
-                let interrupt = Atomic.make false in
-                let prev_sigint =
-                  Sys.signal Sys.sigint
-                    (Sys.Signal_handle
-                       (fun _ ->
-                         if Atomic.get interrupt then exit 130
-                         else begin
-                           Atomic.set interrupt true;
-                           prerr_endline
-                             "craft: SIGINT — finishing the current wave, \
-                              flushing a final checkpoint, composing the \
-                              partial result (^C again to abort)"
-                         end))
-                in
-                let options =
-                  {
-                    Bfs.default_options with
-                    workers;
-                    base = k.Kernel.hints;
-                    pool;
-                    checkpoint;
-                    shadow = shadow_opts;
-                    formats;
-                    stop = (fun () -> Atomic.get interrupt);
-                  }
-                in
-                let r = Strategy.run ~options tok target in
-                Sys.set_signal Sys.sigint prev_sigint;
-                snapshots := r.Bfs.snapshots;
-                if r.Bfs.interrupted then
-                  Format.printf
-                    "search INTERRUPTED — the report below is the partial \
-                     result; resume with --checkpoint/--resume@.";
-                Format.printf
-                  "strategy %s: tested %d configurations, replaced %d of %d \
-                   candidates (static %.1f%%, dynamic %.1f%%), %d bit(s) \
-                   saved (%s)@."
-                  (Strategy.to_string tok) r.Bfs.tested r.Bfs.static_replaced
-                  r.Bfs.candidates r.Bfs.static_pct r.Bfs.dynamic_pct
-                  r.Bfs.bits_saved
-                  (if r.Bfs.final_pass then "pass" else "fail");
-                (match out with
-                | Some path ->
-                    let oc = open_out path in
-                    output_string oc (Config.print k.Kernel.program r.Bfs.final);
-                    close_out oc;
-                    Format.printf "final configuration written to %s@." path
-                | None ->
-                    print_string (Tree_view.render k.Kernel.program r.Bfs.final))));
+                "strategy %s: tested %d configurations, replaced %d of %d candidates \
+                 (static %.1f%%, dynamic %.1f%%), %d bit(s) saved (%s)@."
+                (Strategy.to_string strategy) r.Bfs.tested r.Bfs.static_replaced
+                r.Bfs.candidates r.Bfs.static_pct r.Bfs.dynamic_pct r.Bfs.bits_saved
+                (if r.Bfs.final_pass then "pass" else "fail");
+              (Config.print k.Kernel.program r.Bfs.final, Tree_view.render k.Kernel.program r.Bfs.final)
+        in
+        (match out with
+        | Some path ->
+            let oc = open_out path in
+            output_string oc text;
+            close_out oc;
+            Format.printf "final configuration written to %s@." path
+        | None -> print_string tree);
         Format.printf "%s@." (Harness.report harness);
         if cache_stats then begin
           match target.Bfs.Target.code_cache with
@@ -515,7 +449,7 @@ let search_cmd =
             Pool.shutdown p
         | None -> ());
         (match checkpoint_path with
-        | Some path -> Format.printf "checkpoint %s: %d snapshot(s) written@." path !snapshots
+        | Some path -> Format.printf "checkpoint %s: %d snapshot(s) written@." path r.Bfs.snapshots
         | None -> ());
         (match faults with
         | Some inj -> Format.printf "injected faults fired: %d@." (Faults.injected inj)

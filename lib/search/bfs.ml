@@ -159,53 +159,86 @@ let force_flag ~base flag cfg node =
 
 let force_single ~base cfg node = force_flag ~base Config.Single cfg node
 
-type item = { nodes : Static.node list; weight : int; seq : int; score : float }
-(* [score] is the shadow-predicted divergence of flipping exactly these
-   nodes to single (infinity when a control-flow flip was observed inside);
-   0 when the search runs without shadow guidance *)
+(* ------------------------------------------------------ wave machines *)
 
-let search ?(options = default_options) (target : Target.t) =
-  let counts = target.profile () in
-  let base = options.base in
-  let log = ref [] in
-  let say fmt = Format.kasprintf (fun s -> log := s :: !log) fmt in
-  (* The format lattice. The structural descent runs entirely at the
-     [entry] format (the widest reduced format on the menu — [single] by
-     default, reproducing the pre-lattice search exactly); formats cheaper
-     than the entry are tried per passing structure afterwards,
-     cheapest-first, and the first one that still verifies wins. [double]
-     on the menu means "not replaced" and never enters the descent. *)
-  let menu =
-    List.filter (fun f -> not (Formats.equal f Formats.double)) options.formats
-    |> List.sort_uniq Formats.compare_cost
-  in
-  let entry_fmt = match List.rev menu with f :: _ -> f | [] -> Formats.single in
-  let entry_flag = Config.of_format entry_fmt in
-  let lower_menu = List.filter (fun f -> Formats.compare_cost f entry_fmt < 0) menu in
-  let live_insns node =
-    List.filter
-      (fun info -> Config.effective base info <> Config.Ignore)
-      (Static.node_insns node)
-  in
-  let weight_of nodes =
-    List.fold_left
-      (fun acc n ->
-        List.fold_left (fun acc (i : Static.insn_info) -> acc + counts.(i.addr)) acc
-          (live_insns n))
-      0 nodes
-  in
-  let universe =
-    Array.to_list (Static.candidates target.program)
-    |> List.filter (fun info -> Config.effective base info <> Config.Ignore)
-  in
-  let n_candidates = List.length universe in
+type flagged = (Static.node * Config.flag) list
+
+type ctx = {
+  target : Target.t;
+  options : options;
+  counts : int array;
+  universe : Static.insn_info list;
+  entry : Formats.t;
+}
+
+type resume = {
+  next_seq : int;
+  queue : (Checkpoint.entry * Static.node list) list;
+  passing : flagged;
+}
+
+type wave = { configs : Config.t list; pruned : int; notes : string list }
+type finish = Structures | Instructions
+
+module type MACHINE = sig
+  type state
+
+  val name : string
+  val finish : finish
+  val init : ctx -> eval:(Config.t -> Verdict.verdict) -> resume option -> state * string list
+  val propose : ctx -> state -> wave option * state
+  val consume : ctx -> state -> Verdict.verdict list -> state * string list
+  val flagged : ctx -> state -> flagged
+  val frontier : state -> int * Checkpoint.entry list
+  val interrupt : state -> string option
+end
+
+let entry_flag ctx = Config.of_format ctx.entry
+
+let live_insns ctx node =
+  List.filter
+    (fun info -> Config.effective ctx.options.base info <> Config.Ignore)
+    (Static.node_insns node)
+
+let weight_of ctx nodes =
+  List.fold_left
+    (fun acc n ->
+      List.fold_left (fun acc (i : Static.insn_info) -> acc + ctx.counts.(i.addr)) acc
+        (live_insns ctx n))
+    0 nodes
+
+let union ctx flags =
+  let base = ctx.options.base in
+  List.fold_left (fun acc (n, fl) -> force_flag ~base fl acc n) base flags
+
+(* --------------------------------------------------------------- bfs *)
+
+(* The paper's breadth-first structural descent as a wave machine. Its
+   state is the work queue, the passing set and the item sequence
+   counter — exactly what its checkpoints persist. *)
+module Breadth_first = struct
+  let name = "bfs"
+  let finish = Structures
+
+  type item = { nodes : Static.node list; weight : int; seq : int; score : float }
+  (* [score] is the shadow-predicted divergence of flipping exactly these
+     nodes to single (infinity when a control-flow flip was observed
+     inside); 0 when the search runs without shadow guidance *)
+
+  type state = {
+    queue : item list;
+    inflight : item list;  (** the wave being evaluated, in proposal order *)
+    passing : flagged;  (** newest first *)
+    seq : int;
+  }
+
   (* shadow-predicted divergence of an item's node set: the worst observed
      per-instruction divergence, or infinity when any contained instruction
      flipped a comparison/conversion outcome (its prediction — and that of
      everything data-dependent — is unreliable, so such items are never
      pruned and sort last under reordering) *)
-  let shadow_score nodes =
-    match options.shadow with
+  let score ctx nodes =
+    match ctx.options.shadow with
     | None -> 0.0
     | Some s ->
         List.fold_left
@@ -214,249 +247,41 @@ let search ?(options = default_options) (target : Target.t) =
               (fun acc (i : Static.insn_info) ->
                 if Shadow_report.flips_at s.report i.addr > 0 then infinity
                 else Float.max acc (Shadow_report.max_rel_at s.report i.addr))
-              acc (live_insns n))
+              acc (live_insns ctx n))
           0.0 nodes
-  in
-  let shadow_reorder =
-    match options.shadow with Some s -> s.reorder | None -> false
-  in
-  let seq = ref 0 in
-  let mk nodes =
-    incr seq;
-    { nodes; weight = weight_of nodes; seq = !seq; score = shadow_score nodes }
-  in
-  let queue = ref [] in
-  let push it = if it.nodes <> [] then queue := it :: !queue in
-  let pop_batch n =
+
+  let push ctx st nodes =
+    let seq = st.seq + 1 in
+    if nodes = [] then { st with seq }
+    else
+      let it = { nodes; weight = weight_of ctx nodes; seq; score = score ctx nodes } in
+      { st with queue = it :: st.queue; seq }
+
+  let pushes ctx st groups = List.fold_left (push ctx) st groups
+
+  let pop_batch ctx n queue =
+    let o = ctx.options in
+    let shadow_reorder = match o.shadow with Some s -> s.reorder | None -> false in
     let cmp a b =
       if shadow_reorder then
         (* most tolerant first: predicted divergence ascending, then the
            profile weight (heavier = more dynamic coverage), then seq *)
         match Float.compare a.score b.score with
-        | 0 -> (
-            match compare b.weight a.weight with 0 -> compare a.seq b.seq | c -> c)
+        | 0 -> ( match compare b.weight a.weight with 0 -> compare a.seq b.seq | c -> c)
         | c -> c
-      else if options.prioritize then
+      else if o.prioritize then
         match compare b.weight a.weight with 0 -> compare a.seq b.seq | c -> c
       else compare a.seq b.seq
     in
-    let sorted = List.sort cmp !queue in
     let rec take k = function
-      | [] -> ([], [])
       | x :: rest when k > 0 ->
           let batch, leftover = take (k - 1) rest in
           (x :: batch, leftover)
       | rest -> ([], rest)
     in
-    let batch, rest = take n sorted in
-    queue := rest;
-    batch
-  in
-  let cfg_of_item it =
-    List.fold_left (fun acc n -> force_flag ~base entry_flag acc n) base it.nodes
-  in
-  let tested = ref 0 in
-  let passing = ref [] in
-  let snapshots = ref 0 in
-  (* An evaluation must never abort the campaign: any exception escaping
-     [target.eval] (a crashing verify routine, OOM, a stack overflow, ...)
-     is this one configuration's classified failure, not the search's.
-     Only the deliberate [Aborted] control exception passes through — it
-     IS the campaign dying (kill simulation / operator interrupt). *)
-  let eval_verdict cfg =
-    match target.eval cfg with
-    | true -> Verdict.Pass
-    | false -> Verdict.Fail_verify
-    | exception Aborted -> raise Aborted
-    | exception e -> Verdict.classify_exn e
-  in
-  let contained_eval cfg = eval_verdict cfg = Verdict.Pass in
-  (* The worker pool supervises parallel waves. A caller-supplied pool is
-     reused (and left running); otherwise a transient one is staffed for
-     this campaign when [workers > 1] asks for parallelism. *)
-  let transient_pool =
-    match (options.pool, options.workers) with
-    | Some _, _ | None, 1 -> None
-    | None, w when w <= 1 -> None
-    | None, w ->
-        Some
-          (Pool.create
-             ~options:{ Pool.default_options with workers = w }
-             ())
-  in
-  let pool = match options.pool with Some p -> Some p | None -> transient_pool in
-  let drain_pool () =
-    match pool with
-    | None -> ()
-    | Some p -> List.iter (fun e -> say "POOL %s" e) (Pool.drain_events p)
-  in
-  let eval_items items =
-    tested := !tested + List.length items;
-    match (items, pool) with
-    | [ it ], None -> [ (it, eval_verdict (cfg_of_item it)) ]
-    | _, None -> List.map (fun it -> (it, eval_verdict (cfg_of_item it))) items
-    | _, Some p ->
-        let thunks =
-          List.map
-            (fun it ->
-              let cfg = cfg_of_item it in
-              fun () -> eval_verdict cfg)
-            items
-        in
-        List.combine items (Pool.run p thunks)
-  in
-  (* ----------------------------------------------------------- checkpoint *)
-  let save_snapshot () =
-    match options.checkpoint with
-    | None -> ()
-    | Some ck ->
-        let entry it =
-          {
-            Checkpoint.seq = it.seq;
-            weight = it.weight;
-            nodes = List.map Checkpoint.node_id it.nodes;
-          }
-        in
-        Checkpoint.save ~path:ck.path
-          {
-            Checkpoint.key = Checkpoint.program_key target.program;
-            tested = !tested;
-            next_seq = !seq;
-            queue = List.map entry !queue;
-            passing = List.map Checkpoint.flagged_id (List.rev !passing);
-            counters = ck.save_counters ();
-            log = List.rev !log;
-            strategy = "bfs";
-          };
-        incr snapshots
-  in
-  let restored =
-    match options.checkpoint with
-    | Some ck when ck.resume -> (
-        match Checkpoint.load ~path:ck.path with
-        | Error msg ->
-            say "CHECKPOINT not resumed: %s" msg;
-            false
-        | Ok snap when snap.Checkpoint.key <> Checkpoint.program_key target.program ->
-            say "CHECKPOINT not resumed: written by a different program (key %s)"
-              snap.Checkpoint.key;
-            false
-        | Ok snap when snap.Checkpoint.strategy <> "bfs" ->
-            say "CHECKPOINT not resumed: written by strategy %s"
-              snap.Checkpoint.strategy;
-            false
-        | Ok snap -> (
-            let resolve_with res ids =
-              List.fold_left
-                (fun acc id ->
-                  match acc with
-                  | Error _ as e -> e
-                  | Ok nodes -> (
-                      match res target.program id with
-                      | Ok n -> Ok (n :: nodes)
-                      | Error _ as e -> e))
-                (Ok []) ids
-              |> Result.map List.rev
-            in
-            let resolve_all = resolve_with Checkpoint.resolve in
-            let entries =
-              List.fold_left
-                (fun acc (e : Checkpoint.entry) ->
-                  match acc with
-                  | Error _ as err -> err
-                  | Ok items -> (
-                      match resolve_all e.Checkpoint.nodes with
-                      | Ok nodes ->
-                          Ok
-                            ({ nodes; weight = e.weight; seq = e.seq; score = shadow_score nodes }
-                            :: items)
-                      | Error _ as err -> err))
-                (Ok []) snap.Checkpoint.queue
-            in
-            match (entries, resolve_with Checkpoint.resolve_flagged snap.Checkpoint.passing) with
-            | Error msg, _ | _, Error msg ->
-                say "CHECKPOINT not resumed: %s" msg;
-                false
-            | Ok items, Ok passed ->
-                log := List.rev snap.Checkpoint.log;
-                queue := items;
-                passing := List.rev passed;
-                tested := snap.Checkpoint.tested;
-                seq := snap.Checkpoint.next_seq;
-                ck.restore_counters snap.Checkpoint.counters;
-                say "RESUME from checkpoint: %d tested, %d queued, %d passing"
-                  snap.Checkpoint.tested (List.length items) (List.length passed);
-                true))
-    | _ -> false
-  in
-  let pruned = ref 0 in
-  let seed_default () =
-    (* Seed the queue with one configuration per module. *)
-    List.iter
-      (fun node -> if live_insns node <> [] then push (mk [ node ]))
-      (Static.tree target.program)
-  in
-  if not restored then begin
-    (* Shadow seeding: evaluate the predicted configuration once. If it
-       passes, its structures enter the passing set immediately and only
-       the unpredicted remainder of the tree is queued; if it fails, the
-       prediction bought nothing and the search seeds normally. *)
-    let shadow_seeded =
-      match options.shadow with
-      | Some s when s.seed_predicted -> (
-          let pred =
-            List.filter (fun n -> live_insns n <> []) (Shadow_report.predicted_nodes s.report)
-          in
-          match pred with
-          | [] ->
-              say "SHADOW seed: nothing predicted single";
-              false
-          | pred -> (
-              let cfg =
-                List.fold_left (fun acc n -> force_flag ~base entry_flag acc n) base pred
-              in
-              incr tested;
-              match eval_verdict cfg with
-              | Verdict.Pass ->
-                  say "SHADOW seed: predicted configuration passes — %d structure(s) pre-accepted"
-                    (List.length pred);
-                  passing := List.rev_map (fun n -> (n, entry_flag)) pred @ !passing;
-                  let module ISet = Set.Make (Int) in
-                  let pred_addrs =
-                    List.fold_left
-                      (fun acc n ->
-                        List.fold_left
-                          (fun acc (i : Static.insn_info) -> ISet.add i.addr acc)
-                          acc (live_insns n))
-                      ISet.empty pred
-                  in
-                  (* queue the not-yet-accepted remainder, descending just
-                     far enough to carve the predicted structures out *)
-                  let rec residual node =
-                    let insns = live_insns node in
-                    if insns = [] then []
-                    else if
-                      List.for_all (fun (i : Static.insn_info) -> ISet.mem i.addr pred_addrs) insns
-                    then []
-                    else if
-                      List.exists (fun (i : Static.insn_info) -> ISet.mem i.addr pred_addrs) insns
-                    then List.concat_map residual (children_of node)
-                    else [ node ]
-                  in
-                  List.iter
-                    (fun m -> List.iter (fun n -> push (mk [ n ])) (residual m))
-                    (Static.tree target.program);
-                  true
-              | v ->
-                  say "SHADOW seed: predicted configuration %s — seeding normally"
-                    (Verdict.verdict_label v);
-                  false))
-      | _ -> false
-    in
-    if not shadow_seeded then seed_default ()
-  end;
+    take n (List.sort cmp queue)
+
   let halves xs =
-    let n = List.length xs in
     let rec split k = function
       | rest when k = 0 -> ([], rest)
       | [] -> ([], [])
@@ -464,70 +289,476 @@ let search ?(options = default_options) (target : Target.t) =
           let a, b = split (k - 1) rest in
           (x :: a, b)
     in
-    split ((n + 1) / 2) xs
-  in
-  let descend it =
+    split ((List.length xs + 1) / 2) xs
+
+  let descend ctx st it =
+    let o = ctx.options in
     match it.nodes with
-    | [] -> ()
+    | [] -> st
     | [ node ] ->
-        if node_rank node < rank options.stop_at then begin
-          let cs = List.filter (fun c -> live_insns c <> []) (children_of node) in
-          match cs with
-          | [] -> ()
-          | _ when options.binary_split && List.length cs > options.split_threshold ->
+        if node_rank node < rank o.stop_at then
+          match List.filter (fun c -> live_insns ctx c <> []) (children_of node) with
+          | [] -> st
+          | cs when o.binary_split && List.length cs > o.split_threshold ->
               let a, b = halves cs in
-              push (mk a);
-              push (mk b)
-          | _ -> List.iter (fun c -> push (mk [ c ])) cs
-        end
+              pushes ctx st [ a; b ]
+          | cs -> pushes ctx st (List.map (fun c -> [ c ]) cs)
+        else st
     | nodes ->
         (* a failing partition splits in two again *)
         let a, b = halves nodes in
-        if options.binary_split && List.length a > 1 then begin
-          push (mk a);
-          push (mk b)
-        end
-        else List.iter (fun n -> push (mk [ n ])) nodes
-  in
-  let finish ~interrupted () =
-    let passing_flags = List.rev !passing in
-    let passing_nodes = List.map fst passing_flags in
-    let final =
-      List.fold_left (fun acc (n, fl) -> force_flag ~base fl acc n) base passing_flags
+        if o.binary_split && List.length a > 1 then pushes ctx st [ a; b ]
+        else pushes ctx st (List.map (fun n -> [ n ]) nodes)
+
+  let cfg_of_nodes ctx nodes = union ctx (List.map (fun n -> (n, entry_flag ctx)) nodes)
+
+  let init ctx ~eval (resume : resume option) =
+    let program = ctx.target.program in
+    let empty = { queue = []; inflight = []; passing = []; seq = 0 } in
+    (* one configuration per module *)
+    let seed_default () =
+      pushes ctx empty
+        (List.filter_map
+           (fun node -> if live_insns ctx node <> [] then Some [ node ] else None)
+           (Static.tree program))
     in
-    incr tested;
-    let final_pass = contained_eval final in
-    say "FINAL union of %d passing structures: %s" (List.length passing_nodes)
-      (if final_pass then "pass" else "fail");
-    let final, final_pass =
-      if final_pass || not options.second_phase then (final, final_pass)
-      else begin
-        (* Greedy composition: add individually-passing structures heaviest
-           first, keeping only those that compose into a passing whole. *)
-        let units =
-          List.sort
-            (fun (a, _) (b, _) -> compare (weight_of [ b ]) (weight_of [ a ]))
-            passing_flags
+    match (resume, ctx.options.shadow) with
+    | Some r, _ ->
+        ( {
+            (* reverse file order: a snapshot written before the next pop
+               then matches earlier versions' byte for byte; pop_batch sorts
+               the queue totally, so nothing else depends on the order *)
+            queue =
+              List.rev_map
+                (fun ((e : Checkpoint.entry), nodes) ->
+                  { nodes; weight = e.weight; seq = e.seq; score = score ctx nodes })
+                r.queue;
+            inflight = [];
+            passing = List.rev r.passing;
+            seq = r.next_seq;
+          },
+          [] )
+    | None, Some s when s.seed_predicted -> (
+        (* Shadow seeding: evaluate the predicted configuration once. If it
+           passes, its structures enter the passing set immediately and only
+           the unpredicted remainder of the tree is queued; if it fails, the
+           prediction bought nothing and the search seeds normally. *)
+        let pred =
+          List.filter (fun n -> live_insns ctx n <> []) (Shadow_report.predicted_nodes s.report)
         in
-        let acc = ref base in
-        List.iter
-          (fun (node, fl) ->
-            let trial = force_flag ~base fl !acc node in
-            incr tested;
-            if contained_eval trial then begin
-              acc := trial;
-              say "COMPOSE keep %s" (Static.node_name node)
-            end
-            else say "COMPOSE drop %s" (Static.node_name node))
-          units;
-        (!acc, true)
-      end
+        match pred with
+        | [] -> (seed_default (), [ "SHADOW seed: nothing predicted single" ])
+        | pred -> (
+            match eval (cfg_of_nodes ctx pred) with
+            | Verdict.Pass ->
+                let module ISet = Set.Make (Int) in
+                let pred_addrs =
+                  List.fold_left
+                    (fun acc n ->
+                      List.fold_left
+                        (fun acc (i : Static.insn_info) -> ISet.add i.addr acc)
+                        acc (live_insns ctx n))
+                    ISet.empty pred
+                in
+                (* queue the not-yet-accepted remainder, descending just far
+                   enough to carve the predicted structures out *)
+                let rec residual node =
+                  let insns = live_insns ctx node in
+                  let predicted (i : Static.insn_info) = ISet.mem i.addr pred_addrs in
+                  if insns = [] || List.for_all predicted insns then []
+                  else if List.exists predicted insns then
+                    List.concat_map residual (children_of node)
+                  else [ node ]
+                in
+                let st =
+                  { empty with passing = List.rev_map (fun n -> (n, entry_flag ctx)) pred }
+                in
+                ( pushes ctx st
+                    (List.concat_map
+                       (fun m -> List.map (fun n -> [ n ]) (residual m))
+                       (Static.tree program)),
+                  [
+                    Printf.sprintf
+                      "SHADOW seed: predicted configuration passes — %d structure(s) \
+                       pre-accepted"
+                      (List.length pred);
+                  ] )
+            | v ->
+                ( seed_default (),
+                  [
+                    Printf.sprintf "SHADOW seed: predicted configuration %s — seeding normally"
+                      (Verdict.verdict_label v);
+                  ] )))
+    | None, _ -> (seed_default (), [])
+
+  let names it = String.concat " + " (List.map Static.node_name it.nodes)
+
+  let propose ctx st =
+    match st.queue with
+    | [] -> (None, st)
+    | queue ->
+        let batch, rest = pop_batch ctx (max 1 ctx.options.workers) queue in
+        (* shadow pruning: an item whose predicted divergence exceeds the
+           hard bound is treated as a failure without spending an
+           evaluation — the skip is journaled as a [Pruned] verdict (never
+           silent) and the item still descends, so finer-grained candidates
+           below it are never lost. Items containing flips score infinity
+           and are never pruned. *)
+        let st, notes, kept =
+          List.fold_left
+            (fun (st, notes, kept) it ->
+              match ctx.options.shadow with
+              | Some ({ prune_above = Some bound; _ } as s)
+                when Float.is_finite it.score && it.score > bound ->
+                  s.on_pruned (cfg_of_nodes ctx it.nodes) it.score;
+                  ( descend ctx st it,
+                    Printf.sprintf "PRUNED %s (predicted divergence %.3e > bound %.3e)"
+                      (names it) it.score bound
+                    :: notes,
+                    kept )
+              | _ -> (st, notes, it :: kept))
+            ({ st with queue = rest }, [], [])
+            batch
+        in
+        let kept = List.rev kept in
+        ( Some
+            {
+              configs = List.map (fun it -> cfg_of_nodes ctx it.nodes) kept;
+              pruned = List.length batch - List.length kept;
+              notes = List.rev notes;
+            },
+          { st with inflight = kept } )
+
+  let consume ctx st verdicts =
+    let st, lines =
+      List.fold_left2
+        (fun (st, lines) it v ->
+          match v with
+          | Verdict.Pass ->
+              ( {
+                  st with
+                  passing = List.map (fun n -> (n, entry_flag ctx)) it.nodes @ st.passing;
+                },
+                Printf.sprintf "PASS %s (weight %d)" (names it) it.weight :: lines )
+          | v ->
+              ( descend ctx st it,
+                Printf.sprintf "%s %s (weight %d)"
+                  (String.uppercase_ascii (Verdict.verdict_label v))
+                  (names it) it.weight
+                :: lines ))
+        ({ st with inflight = [] }, [])
+        st.inflight verdicts
     in
+    (st, List.rev lines)
+
+  let flagged _ st = List.rev st.passing
+
+  let frontier st =
+    ( st.seq,
+      List.map
+        (fun (it : item) ->
+          { Checkpoint.seq = it.seq; weight = it.weight; nodes = List.map Checkpoint.node_id it.nodes })
+        st.queue )
+
+  let interrupt st =
+    match st.queue with
+    | [] -> None
+    | q ->
+        Some
+          (Printf.sprintf "INTERRUPTED with %d item(s) still queued — composing the partial result"
+             (List.length q))
+end
+
+let breadth_first = (module Breadth_first : MACHINE)
+
+(* ------------------------------------------------------------ driver *)
+
+let drive (module M : MACHINE) ?(options = default_options) (target : Target.t) =
+  let program = target.program in
+  let counts = target.profile () in
+  let base = options.base in
+  (* The format lattice. The search moves at the [entry] format (the widest
+     reduced format on the menu — [single] by default, reproducing the
+     pre-lattice search exactly); formats cheaper than the entry are tried
+     by the finish, cheapest first. [double] on the menu means "not
+     replaced" and never enters the search. *)
+  let menu =
+    List.filter (fun f -> not (Formats.equal f Formats.double)) options.formats
+    |> List.sort_uniq Formats.compare_cost
+  in
+  let entry = match List.rev menu with f :: _ -> f | [] -> Formats.single in
+  let lower = List.filter (fun f -> Formats.compare_cost f entry < 0) menu in
+  let universe =
+    Array.to_list (Static.candidates program)
+    |> List.filter (fun info -> Config.effective base info <> Config.Ignore)
+  in
+  let ctx = { target; options; counts; universe; entry } in
+  let log = ref [] in
+  let says lines = List.iter (fun s -> log := s :: !log) lines in
+  let say fmt = Format.kasprintf (fun s -> says [ s ]) fmt in
+  let tested = ref 0 in
+  let snapshots = ref 0 in
+  let pruned = ref 0 in
+  (* The worker pool supervises every evaluation. A caller-supplied pool
+     is reused (and left running); otherwise a transient one is staffed
+     for this campaign when [workers > 1] asks for parallelism. *)
+  let transient_pool =
+    match options.pool with
+    | None when options.workers > 1 ->
+        Some (Pool.create ~options:{ Pool.default_options with workers = options.workers } ())
+    | _ -> None
+  in
+  let pool = match options.pool with Some p -> Some p | None -> transient_pool in
+  let drain_pool () =
+    match pool with
+    | None -> ()
+    | Some p -> List.iter (fun e -> say "POOL %s" e) (Pool.drain_events p)
+  in
+  (* An evaluation must never abort the campaign: any exception escaping
+     [target.eval] (a crashing verify routine, OOM, a stack overflow, ...)
+     is this one configuration's classified failure, not the search's.
+     Only the deliberate [Aborted] control exception passes through — it
+     IS the campaign dying (kill simulation / operator interrupt). *)
+  let verdict cfg =
+    match target.eval cfg with
+    | true -> Verdict.Pass
+    | false -> Verdict.Fail_verify
+    | exception Aborted -> raise Aborted
+    | exception e -> Verdict.classify_exn e
+  in
+  let eval_wave cfgs =
+    tested := !tested + List.length cfgs;
+    match pool with
+    | None -> List.map verdict cfgs
+    | Some p -> Pool.run p (List.map (fun cfg () -> verdict cfg) cfgs)
+  in
+  let eval cfg = List.hd (eval_wave [ cfg ]) in
+  let passes cfg = eval cfg = Verdict.Pass in
+  (* ----------------------------------------------------------- checkpoint *)
+  let key = Checkpoint.program_key program in
+  let save st passing =
+    match options.checkpoint with
+    | None -> ()
+    | Some ck ->
+        let next_seq, queue = M.frontier st in
+        Checkpoint.save ~path:ck.path
+          {
+            Checkpoint.key;
+            tested = !tested;
+            next_seq;
+            queue;
+            passing = List.map Checkpoint.flagged_id passing;
+            counters = ck.save_counters ();
+            log = List.rev !log;
+            strategy = M.name;
+          };
+        incr snapshots
+  in
+  let rec all f = function
+    | [] -> Ok []
+    | x :: rest -> Result.bind (f x) (fun y -> Result.map (List.cons y) (all f rest))
+  in
+  let resume () =
+    match options.checkpoint with
+    | Some ck when ck.resume -> (
+        let refuse msg =
+          say "CHECKPOINT not resumed: %s" msg;
+          None
+        in
+        match Checkpoint.load ~path:ck.path with
+        | Error msg -> refuse msg
+        | Ok snap when snap.key <> key ->
+            refuse ("written by a different program (key " ^ snap.key ^ ")")
+        | Ok snap when snap.strategy <> M.name -> refuse ("written by strategy " ^ snap.strategy)
+        | Ok snap -> (
+            let queue =
+              all
+                (fun (e : Checkpoint.entry) ->
+                  Result.map (fun nodes -> (e, nodes)) (all (Checkpoint.resolve program) e.nodes))
+                snap.queue
+            in
+            (* an instruction-level machine only ever accepts single
+               instructions; anything else is not its snapshot *)
+            let one_insn ((node, _) as id) =
+              match (M.finish, Static.node_insns node) with
+              | Structures, _ | Instructions, [ _ ] -> Ok id
+              | Instructions, _ ->
+                  Error
+                    (Printf.sprintf "checkpoint id %S is not one instruction"
+                       (Checkpoint.flagged_id id))
+            in
+            let passing =
+              all
+                (fun id -> Result.bind (Checkpoint.resolve_flagged program id) one_insn)
+                snap.passing
+            in
+            match (queue, passing) with
+            | Error msg, _ | _, Error msg -> refuse msg
+            | Ok queue, Ok passing ->
+                log := List.rev snap.log;
+                tested := snap.tested;
+                ck.restore_counters snap.counters;
+                (* an untagged (bfs) snapshot keeps the pre-strategy line *)
+                say "RESUME from %scheckpoint: %d tested, %d queued, %d passing"
+                  (if M.name = "bfs" then "" else M.name ^ " ")
+                  snap.tested (List.length queue) (List.length passing);
+                Some { next_seq = snap.next_seq; queue; passing }))
+    | _ -> None
+  in
+  (* --------------------------------------------------------------- waves *)
+  let every = match options.checkpoint with Some ck -> max 1 ck.every | None -> max_int in
+  (* [stop] is polled only at wave boundaries, so a stop request never cuts
+     a wave in half; snapshots happen only there too, once the whole wave
+     is folded in, so the saved state is exactly the resumable one *)
+  let rec waves st n =
+    if options.stop () then (st, M.interrupt st)
+    else
+      match M.propose ctx st with
+      | None, st -> (st, None)
+      | Some w, st ->
+          says w.notes;
+          pruned := !pruned + w.pruned;
+          let st, lines = M.consume ctx st (eval_wave w.configs) in
+          says lines;
+          drain_pool ();
+          if (n + 1) mod every = 0 then save st (M.flagged ctx st);
+          waves st (n + 1)
+  in
+  (* -------------------------------------------------------------- finish *)
+  let compose flags =
+    let final = union ctx flags in
+    let pass = passes final in
+    say "FINAL union of %d passing structures: %s" (List.length flags)
+      (if pass then "pass" else "fail");
+    if pass || not options.second_phase then (flags, final, pass)
+    else begin
+      (* Greedy composition: add individually-passing structures heaviest
+         first, keeping only those that compose into a passing whole. *)
+      let kept, final =
+        List.fold_left
+          (fun (kept, acc) ((node, fl) as unit) ->
+            let trial = force_flag ~base fl acc node in
+            if passes trial then begin
+              say "COMPOSE keep %s" (Static.node_name node);
+              (unit :: kept, trial)
+            end
+            else begin
+              say "COMPOSE drop %s" (Static.node_name node);
+              (kept, acc)
+            end)
+          ([], base)
+          (List.stable_sort
+             (fun (a, _) (b, _) -> compare (weight_of ctx [ b ]) (weight_of ctx [ a ]))
+             flags)
+      in
+      (List.filter (fun unit -> List.memq unit kept) flags, final, true)
+    end
+  in
+  let finish st ~interrupted =
+    let flags = M.flagged ctx st in
+    match M.finish with
+    | Structures ->
+        (* Lattice descent: every structure that passed at the entry format
+           is retried alone at each strictly cheaper format, cheapest first;
+           the first format that still verifies wins and the structure keeps
+           that flag in the union. One structure failing to descend costs at
+           most |menu|-1 evaluations and changes nothing else. *)
+        let descend ((node, _) as kept) =
+          let name = Static.node_name node in
+          let rec try_fmts = function
+            | [] -> kept
+            | f :: rest -> (
+                match eval (force_flag ~base (Config.of_format f) base node) with
+                | Verdict.Pass ->
+                    say "LATTICE %s descends to %s" name (Formats.name f);
+                    (node, Config.of_format f)
+                | v ->
+                    say "LATTICE %s at %s: %s" name (Formats.name f) (Verdict.verdict_label v);
+                    try_fmts rest)
+          in
+          if options.stop () then kept else try_fmts lower
+        in
+        (* most recently accepted first: the evaluation and stop-poll order
+           the replay fixture pins *)
+        let flags =
+          if lower <> [] && not interrupted then List.rev_map descend (List.rev flags) else flags
+        in
+        (* a final snapshot is flushed either way: a stop request leaves the
+           still-queued frontier on disk, so a later resume continues the
+           campaign instead of restarting it *)
+        save st flags;
+        let _, final, pass = compose flags in
+        (final, pass, flags)
+    | Instructions ->
+        let kept, final, pass = compose flags in
+        let kept, final =
+          if interrupted || not pass then (kept, final)
+          else begin
+            (* greedy top-up: every candidate the machine left double gets
+               one chance on top of the final set, heaviest first — each
+               machine ends maximal over the same move set *)
+            let addr node = (List.hd (Static.node_insns node)).Static.addr in
+            let by_addr = List.sort (fun (a, _) (b, _) -> compare (addr a) (addr b)) in
+            let heavier (a : Static.insn_info) (b : Static.insn_info) =
+              match compare counts.(b.addr) counts.(a.addr) with
+              | 0 -> compare a.addr b.addr
+              | c -> c
+            in
+            let missing =
+              List.filter
+                (fun (i : Static.insn_info) ->
+                  not (List.exists (fun (n, _) -> addr n = i.addr) kept))
+                universe
+            in
+            let fs =
+              List.fold_left
+                (fun fs i ->
+                  let trial = (Static.Insn i, entry_flag ctx) :: fs in
+                  if passes (union ctx trial) then begin
+                    say "TOPUP keep %s" (Static.node_name (Static.Insn i));
+                    by_addr trial
+                  end
+                  else fs)
+                kept
+                (List.sort heavier missing)
+            in
+            (* per-instruction lattice descent, cheapest format first,
+               keeping the whole configuration passing after every step *)
+            let descend fs (node, _) =
+              let rec try_fmts = function
+                | [] -> fs
+                | f :: rest ->
+                    let flag = Config.of_format f in
+                    let trial =
+                      List.map (fun (n, fl) -> (n, if addr n = addr node then flag else fl)) fs
+                    in
+                    if passes (union ctx trial) then begin
+                      say "LATTICE %s descends to %s" (Static.node_name node) (Formats.name f);
+                      trial
+                    end
+                    else try_fmts rest
+              in
+              try_fmts lower
+            in
+            let fs = List.fold_left descend fs fs in
+            (fs, union ctx fs)
+          end
+        in
+        save st flags;
+        (final, pass, kept)
+  in
+  let run () =
+    let st, lines = M.init ctx ~eval (resume ()) in
+    says lines;
+    let st, stopped = waves st 0 in
+    Option.iter (fun line -> says [ line ]) stopped;
+    let final, final_pass, passing = finish st ~interrupted:(stopped <> None) in
     let replaced info =
       match Config.effective final info with
       | Config.Single | Config.Fmt _ -> true
       | Config.Double | Config.Ignore -> false
     in
+    let n_candidates = List.length universe in
     let static_replaced = List.length (List.filter replaced universe) in
     (* the dynamic denominator counts every FP candidate execution, including
        Ignore-flagged instructions: ignored work is floating-point work that
@@ -537,8 +768,7 @@ let search ?(options = default_options) (target : Target.t) =
         (fun (num, den) (info : Static.insn_info) ->
           let c = counts.(info.addr) in
           ((if replaced info then num + c else num), den + c))
-        (0, 0)
-        (Static.candidates target.program)
+        (0, 0) (Static.candidates program)
     in
     drain_pool ();
     {
@@ -549,111 +779,18 @@ let search ?(options = default_options) (target : Target.t) =
       static_replaced;
       static_pct = Stats.percent (float_of_int static_replaced) (float_of_int n_candidates);
       dynamic_pct = Stats.percent (float_of_int dyn_num) (float_of_int dyn_den);
-      passing_nodes;
-      passing_flags;
-      bits_saved = Config.bits_saved target.program final;
+      passing_nodes = List.map fst passing;
+      passing_flags = passing;
+      bits_saved = Config.bits_saved program final;
       log = List.rev !log;
       supervisor = Option.map Pool.stats pool;
       snapshots = !snapshots;
       pruned = !pruned;
-      interrupted;
+      interrupted = stopped <> None;
     }
-  in
-  let run () =
-    let wave = ref 0 in
-    let stopped () =
-      (* polled only at wave boundaries, so a stop request never cuts a
-         wave in half: the saved checkpoint is always a consistent state *)
-      options.stop () && !queue <> []
-    in
-    while !queue <> [] && not (options.stop ()) do
-      let batch = pop_batch (max 1 options.workers) in
-      (* shadow pruning: an item whose predicted divergence exceeds the hard
-         bound is treated as a failure without spending an evaluation — the
-         skip is journaled as a [Pruned] verdict (never silent) and the item
-         still descends, so finer-grained candidates below it are never lost
-         (completeness is preserved; only the doomed aggregate evaluation is
-         saved). Items containing flips score infinity and are never pruned. *)
-      let batch =
-        match options.shadow with
-        | Some ({ prune_above = Some bound; _ } as s) ->
-            List.filter
-              (fun it ->
-                if Float.is_finite it.score && it.score > bound then begin
-                  incr pruned;
-                  let names = String.concat " + " (List.map Static.node_name it.nodes) in
-                  say "PRUNED %s (predicted divergence %.3e > bound %.3e)" names it.score
-                    bound;
-                  s.on_pruned (cfg_of_item it) it.score;
-                  descend it;
-                  false
-                end
-                else true)
-              batch
-        | _ -> batch
-      in
-      let results = eval_items batch in
-      List.iter
-        (fun (it, verdict) ->
-          let names = String.concat " + " (List.map Static.node_name it.nodes) in
-          match verdict with
-          | Verdict.Pass ->
-              say "PASS %s (weight %d)" names it.weight;
-              passing := List.map (fun n -> (n, entry_flag)) it.nodes @ !passing
-          | v ->
-              say "%s %s (weight %d)"
-                (String.uppercase_ascii (Verdict.verdict_label v))
-                names it.weight;
-              descend it)
-        results;
-      drain_pool ();
-      incr wave;
-      (* snapshots happen only at wave boundaries: results of the whole wave
-         are folded in and the descent is queued, so the saved queue +
-         passing set are exactly the campaign's resumable state *)
-      (match options.checkpoint with
-      | Some ck when !wave mod ck.every = 0 -> save_snapshot ()
-      | _ -> ())
-    done;
-    let interrupted = stopped () in
-    if interrupted then
-      say "INTERRUPTED with %d item(s) still queued — composing the partial result"
-        (List.length !queue);
-    (* Lattice descent: every structure that passed at the entry format is
-       retried at each strictly cheaper format on the menu, cheapest first;
-       the first format that still verifies wins and the structure keeps
-       that flag in the final union. One structure failing to descend
-       costs at most |menu|-1 evaluations and changes nothing else. *)
-    if lower_menu <> [] && not interrupted then
-      passing :=
-        List.map
-          (fun (node, flag) ->
-            if options.stop () then (node, flag)
-            else begin
-              let name = Static.node_name node in
-              let rec try_fmts = function
-                | [] -> (node, flag)
-                | f :: rest -> (
-                    let cfg = force_flag ~base (Config.of_format f) base node in
-                    incr tested;
-                    match eval_verdict cfg with
-                    | Verdict.Pass ->
-                        say "LATTICE %s descends to %s" name (Formats.name f);
-                        (node, Config.of_format f)
-                    | v ->
-                        say "LATTICE %s at %s: %s" name (Formats.name f)
-                          (Verdict.verdict_label v);
-                        try_fmts rest)
-              in
-              try_fmts lower_menu
-            end)
-          !passing;
-    (* a final snapshot is flushed either way: a stop request leaves the
-       still-queued frontier on disk, so a later --resume continues the
-       campaign instead of restarting it *)
-    save_snapshot ();
-    finish ~interrupted ()
   in
   match transient_pool with
   | None -> run ()
   | Some p -> Fun.protect ~finally:(fun () -> Pool.shutdown p) run
+
+let search ?options target = drive breadth_first ?options target

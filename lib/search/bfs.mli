@@ -15,11 +15,14 @@
       work item by the dynamic execution count of the instructions it
       covers, and the work queue is processed heaviest-first.
 
-    Configuration evaluations are independent full program runs. With
-    [workers > 1] they are dispatched in deterministic waves to a
-    supervised {!Pool} of long-lived worker domains — either one the
-    caller supplies (shared with {!Strategies}, carrying a wall-clock
-    deadline) or a transient one staffed for this campaign. Every
+    The search is one {!MACHINE} — a wave state machine — run by
+    {!drive}, the single campaign driver every search strategy shares
+    (the others live in [Strategy]). Configuration evaluations are
+    independent full program runs. With [workers > 1] they are dispatched
+    in deterministic waves to a supervised {!Pool} of long-lived worker
+    domains — either one the caller supplies (carrying a wall-clock
+    deadline) or a transient one staffed for this campaign; when a pool
+    is present, every evaluation of the campaign goes through it. Every
     evaluation is classified through {!Verdict.classify}: a trap, step
     blowout, out-of-memory or stack overflow is that one item's TRAP /
     TIMEOUT / CRASH verdict in the log, never the campaign's death.
@@ -223,7 +226,102 @@ type result = {
 }
 
 val search : ?options:options -> Target.t -> result
-(** Raises only {!Aborted} (and only if an evaluator raises it). *)
+(** [drive breadth_first]. Raises only {!Aborted} (and only if an
+    evaluator raises it). *)
+
+(** {1 Wave machines and the campaign driver} *)
+
+type flagged = (Static.node * Config.flag) list
+(** An accepted replacement set: structures with the precision flag each
+    one currently holds. *)
+
+type ctx = {
+  target : Target.t;  (** program, eval path, profile, code cache *)
+  options : options;
+      (** the full campaign options; machines read what they need *)
+  counts : int array;
+      (** address-indexed dynamic execution counts from the one profiling run *)
+  universe : Static.insn_info list;
+      (** the candidate instructions not [Ignore]-flagged by [options.base] *)
+  entry : Formats.t;
+      (** the widest reduced format on the menu — the flag every search move
+          is tried at; cheaper formats are the finish's business *)
+}
+
+type resume = {
+  next_seq : int;  (** the snapshot's [seq] record *)
+  queue : (Checkpoint.entry * Static.node list) list;
+      (** the snapshot's queued items with their nodes resolved *)
+  passing : flagged;  (** the snapshot's passing set, resolved, in file order *)
+}
+(** What a matching checkpoint restores into a machine. *)
+
+type wave = {
+  configs : Config.t list;  (** evaluated together, verdicts in this order *)
+  pruned : int;  (** candidates skipped without an evaluation this wave *)
+  notes : string list;  (** narration, logged before the evaluations *)
+}
+(** One proposed wave. It may evaluate nothing (every item of a BFS wave
+    pruned) and still counts as a wave for checkpointing. *)
+
+type finish =
+  | Structures
+      (** lattice-descend each accepted structure alone, snapshot, then
+          evaluate the union (and greedy composition) — BFS's finish *)
+  | Instructions
+      (** evaluate the union (and greedy composition), then give every
+          candidate left double one chance on top (the top-up) and descend
+          the accepted instructions in place, keeping the whole
+          configuration passing; snapshot last — the finish of the flat,
+          instruction-level machines, which makes each one maximal over the
+          same move set *)
+
+module type MACHINE = sig
+  type state
+
+  val name : string
+  (** The checkpoint/WAL strategy tag ([Strategy.of_string] syntax). *)
+
+  val finish : finish
+
+  val init : ctx -> eval:(Config.t -> Verdict.verdict) -> resume option -> state * string list
+  (** The starting state, restored from [resume] when a checkpoint written
+      under this machine's [name] matched, plus narration. [eval] is the
+      driver's contained, counted evaluation path, for probes made before
+      the first wave (BFS's shadow seed). *)
+
+  val propose : ctx -> state -> wave option * state
+  (** The next wave, or [None] when the machine is done. *)
+
+  val consume : ctx -> state -> Verdict.verdict list -> state * string list
+  (** Fold one wave's verdicts (in proposal order) into the state. *)
+
+  val flagged : ctx -> state -> flagged
+  (** The accepted set so far: what checkpoints persist and the finish
+      composes. *)
+
+  val frontier : state -> int * Checkpoint.entry list
+  (** The next item sequence number and the queued work, as persisted in
+      a snapshot's [seq] and [item] records. *)
+
+  val interrupt : state -> string option
+  (** Narration for a stop request at a wave boundary, or [None] when
+      nothing was left to do (the campaign then finishes normally). *)
+end
+
+val breadth_first : (module MACHINE)
+(** The paper's breadth-first structural descent (tagged ["bfs"]). Its
+    state is the work queue, the passing set and the item sequence
+    counter; its checkpoints keep the pre-strategy [seq]/[item]/[passing]
+    records byte for byte. *)
+
+val drive : (module MACHINE) -> ?options:options -> Target.t -> result
+(** Run one campaign with a machine. The driver alone profiles the
+    target, staffs or borrows the pool, evaluates every configuration
+    through one contained path that counts [tested], loads checkpoints
+    (refusing another program's or another strategy's), saves them every
+    [every] waves and at the end, polls [stop] at wave boundaries, runs
+    the machine's finish and builds the result. Raises only {!Aborted}. *)
 
 val force_flag : base:Config.t -> Config.flag -> Config.t -> Static.node -> Config.t
 (** [force_flag ~base flag cfg node] marks [node] with [flag] in [cfg] —

@@ -130,6 +130,6 @@ val wrap_target : ?retries:int -> ?backoff:int -> ?retry_fail_verify:bool ->
 (** Build a harness over the target's {!Bfs.Target.raw_eval} and return it
     together with the same target whose [eval] is the harness's
     {!eval_bool} — drop-in resilience (containment + retries + counters)
-    for {!Bfs.search} and every {!Strategies} search. The target's
+    for {!Bfs.search} and every [Strategy] campaign. The target's
     {!Bfs.Target.code_cache} (if any) is attached, so the harness report
     also carries the campaign's code-cache hit rate. *)

@@ -415,8 +415,6 @@ let run t thunks =
         out
       end
 
-let run_one t thunk = match run t [ thunk ] with [ v ] -> v | _ -> assert false
-
 (* ---------------------------------------------------------------- observers *)
 
 let stats t =

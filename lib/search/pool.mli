@@ -31,8 +31,7 @@
     Well-behaved stacks (thunks wrapped in {!Verdict.classify} or
     {!Harness.eval}) are total, so worker deaths only arise from genuinely
     abnormal failures. Results are returned in submission order; a pool is
-    meant to be created once per campaign and reused across waves (and by
-    {!Strategies}). *)
+    meant to be created once per campaign and reused across waves. *)
 
 type options = {
   workers : int;  (** long-lived worker domains (clamped to ≥ 1) *)
@@ -77,10 +76,6 @@ val run : t -> (unit -> Verdict.verdict) list -> Verdict.verdict list
 (** Dispatch one wave of evaluation thunks and block until every one has a
     verdict — by evaluation, deadline, quarantine, or degraded inline
     execution. Results are in submission order. Never raises from a task. *)
-
-val run_one : t -> (unit -> Verdict.verdict) -> Verdict.verdict
-(** [run] for a single task — how {!Strategies} puts its sequential
-    evaluations under supervision. *)
 
 val shutdown : t -> unit
 (** Stop accepting work, join every live worker and the monitor. Abandoned

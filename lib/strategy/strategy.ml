@@ -33,46 +33,45 @@ let of_string s =
               or anneal[:<seed>])"
              s)
 
-(* ---------------------------------------------------------- interface *)
+(* ------------------------------------------------------ shared helpers *)
+
+(* The machines below search the flat candidate set one instruction at a
+   time: they finish with the top-up and in-place lattice descent, keep
+   no queue in their checkpoints (only the accepted set), and a stop
+   request always interrupts them. *)
+module Flat = struct
+  let finish = Bfs.Instructions
+  let frontier _ = (0, [])
+  let interrupt _ = Some "STOP requested: composing what was accepted so far"
+end
 
 type flagged = (Static.insn_info * Config.flag) list
 
-type ctx = {
-  target : Bfs.Target.t;
-  options : Bfs.options;
-  counts : int array;
-  universe : Static.insn_info list;
-  menu : Formats.t list;
-  entry : Formats.t;
-}
-
-module type S = sig
-  type state
-
-  val name : string
-  val init : ctx -> resume:flagged option -> state * string list
-  val propose : ctx -> state -> Config.t list * state
-  val consume : ctx -> state -> Verdict.verdict list -> state * string list
-  val flagged : ctx -> state -> flagged
-end
-
-(* ------------------------------------------------------ shared helpers *)
-
 let addr (i : Static.insn_info) = i.Static.addr
-let count ctx i = ctx.counts.(addr i)
+let count ctx i = ctx.Bfs.counts.(addr i)
 let weight_of ctx insns = List.fold_left (fun a i -> a + count ctx i) 0 insns
-let entry_flag ctx = Config.of_format ctx.entry
-
-let config_of_flagged ctx fs =
-  List.fold_left
-    (fun acc (i, fl) -> Config.set_insn acc (addr i) fl)
-    ctx.options.Bfs.base fs
+let entry_flag ctx = Config.of_format ctx.Bfs.entry
 
 let config_of_insns ctx insns =
-  config_of_flagged ctx (List.map (fun i -> (i, entry_flag ctx)) insns)
+  List.fold_left
+    (fun acc i -> Config.set_insn acc (addr i) (entry_flag ctx))
+    ctx.Bfs.options.base insns
 
-let by_addr fs =
+(* the accepted set, as the driver persists and composes it *)
+let as_flagged fs =
   List.sort (fun (a, _) (b, _) -> compare (addr a) (addr b)) fs
+  |> List.map (fun (i, fl) -> (Static.Insn i, fl))
+
+(* the accepted set a resumed snapshot carries (single instructions only) *)
+let resumed =
+  Option.map (fun (r : Bfs.resume) ->
+      List.concat_map
+        (fun (n, fl) -> List.map (fun i -> (i, fl)) (Static.node_insns n))
+        r.passing)
+
+let wave = function
+  | [] -> None
+  | configs -> Some { Bfs.configs; pruned = 0; notes = [] }
 
 (* heaviest first, address ascending on ties — the deterministic order
    every count-driven choice below uses *)
@@ -102,7 +101,9 @@ let take n xs =
    universe seeds the queue; a failing group splits into two halves of
    (approximately) equal dynamic execution weight instead of equal
    cardinality, so the expensive half keeps getting isolated first. *)
-module Split_m = struct
+module Split_m : Bfs.MACHINE = struct
+  include Flat
+
   let name = "split"
 
   type group = { insns : Static.insn_info list; weight : int }
@@ -116,9 +117,9 @@ module Split_m = struct
 
   let group ctx insns = { insns; weight = weight_of ctx insns }
 
-  let init ctx ~resume =
-    let accepted = Option.value resume ~default:[] in
-    let rest = diff ctx.universe (List.map fst accepted) in
+  let init ctx ~eval:_ resume =
+    let accepted = Option.value (resumed resume) ~default:[] in
+    let rest = diff ctx.Bfs.universe (List.map fst accepted) in
     let queue = if rest = [] then [] else [ group ctx rest ] in
     ( { queue; inflight = []; accepted; rejected = 0 },
       [
@@ -127,7 +128,7 @@ module Split_m = struct
       ] )
 
   let propose ctx st =
-    let width = max 1 ctx.options.Bfs.workers in
+    let width = max 1 ctx.Bfs.options.workers in
     let sorted =
       List.sort
         (fun a b ->
@@ -137,7 +138,7 @@ module Split_m = struct
         st.queue
     in
     let batch, rest = take width sorted in
-    ( List.map (fun g -> config_of_insns ctx g.insns) batch,
+    ( wave (List.map (fun g -> config_of_insns ctx g.insns) batch),
       { st with queue = rest; inflight = batch } )
 
   (* split heaviest-first, each instruction joining the lighter half, so
@@ -187,7 +188,7 @@ module Split_m = struct
     in
     (st, List.rev !lines)
 
-  let flagged _ctx st = st.accepted
+  let flagged _ st = as_flagged st.accepted
 end
 
 (* -------------------------------------------------------------- delta *)
@@ -196,7 +197,9 @@ end
    active set with complements of ever-finer partitions until some subset
    passes, then grow the removed instructions back one at a time,
    coldest first (they are the most likely to be tolerable). *)
-module Delta_m = struct
+module Delta_m : Bfs.MACHINE = struct
+  include Flat
+
   let name = "delta"
 
   type phase =
@@ -210,14 +213,14 @@ module Delta_m = struct
 
   type state = { phase : phase; active : Static.insn_info list }
 
-  let init ctx ~resume =
-    match resume with
+  let init ctx ~eval:_ resume =
+    match resumed resume with
     | Some fs ->
         ( { phase = Probe; active = List.map fst fs },
           [ Printf.sprintf "DELTA resume with %d active" (List.length fs) ] )
     | None ->
-        ( { phase = Probe; active = ctx.universe },
-          [ Printf.sprintf "DELTA %d candidates" (List.length ctx.universe) ] )
+        ( { phase = Probe; active = ctx.Bfs.universe },
+          [ Printf.sprintf "DELTA %d candidates" (List.length ctx.Bfs.universe) ] )
 
   let chunks g xs =
     let n = List.length xs in
@@ -231,12 +234,12 @@ module Delta_m = struct
     go [] [] 0 xs
 
   let start_grow ctx active =
-    let removed = by_count_asc ctx (diff ctx.universe active) in
+    let removed = by_count_asc ctx (diff ctx.Bfs.universe active) in
     match removed with
     | [] -> { phase = Finished; active }
     | _ -> { phase = Grow removed; active }
 
-  let propose ctx st =
+  let next ctx st =
     match st.phase with
     | Probe -> ([ config_of_insns ctx st.active ], { st with phase = Await_probe })
     | Grow (i :: rest) ->
@@ -260,9 +263,12 @@ module Delta_m = struct
           { st with phase = Await_chunks (g, cs) } )
 
   let propose ctx st =
-    match st.phase with
-    | Await_chunks (g, []) -> shrink_wave ctx st g
-    | _ -> propose ctx st
+    let cfgs, st =
+      match st.phase with
+      | Await_chunks (g, []) -> shrink_wave ctx st g
+      | _ -> next ctx st
+    in
+    (wave cfgs, st)
 
   let consume ctx st verdicts =
     let say fmt = Printf.ksprintf (fun s -> [ s ]) fmt in
@@ -316,7 +322,7 @@ module Delta_m = struct
         (* mid-shrink the active set is not known to pass; persist nothing *)
         []
     | Grow _ | Await_grow _ | Finished ->
-        List.map (fun i -> (i, entry_flag ctx)) st.active
+        as_flagged (List.map (fun i -> (i, entry_flag ctx)) st.active)
 end
 
 (* ------------------------------------------------------------- anneal *)
@@ -328,8 +334,10 @@ end
    that randomly evicts ~1/3 of the solution and re-sweeps. Deterministic
    from the explicit seed: every random draw comes from one [Rng] stream,
    and evaluation order is strictly sequential. *)
-let anneal_machine seed : (module S) =
+let anneal_machine seed : (module Bfs.MACHINE) =
   (module struct
+    include Flat
+
     let name = to_string (Anneal seed)
 
     type state = {
@@ -348,16 +356,16 @@ let anneal_machine seed : (module S) =
       Rng.shuffle rng a;
       Array.to_list a
 
-    let init ctx ~resume =
+    let init ctx ~eval:_ resume =
       let rng = Rng.create seed in
-      match resume with
+      match resumed resume with
       | Some fs ->
           let current = List.map fst fs in
           ( {
               rng;
               current;
               best = current;
-              sweep = shuffled rng (diff ctx.universe current);
+              sweep = shuffled rng (diff ctx.Bfs.universe current);
               restarts_left = restarts;
               phase = `Sweep;
             },
@@ -365,11 +373,11 @@ let anneal_machine seed : (module S) =
           )
       | None -> (
           let predicted =
-            match ctx.options.Bfs.shadow with
+            match ctx.Bfs.options.shadow with
             | Some s ->
                 List.concat_map Static.node_insns
                   (Shadow_report.predicted_nodes s.Bfs.report)
-                |> List.filter (mem_addr ctx.universe)
+                |> List.filter (mem_addr ctx.Bfs.universe)
             | None -> []
           in
           match predicted with
@@ -378,7 +386,7 @@ let anneal_machine seed : (module S) =
                   rng;
                   current = [];
                   best = [];
-                  sweep = shuffled rng ctx.universe;
+                  sweep = shuffled rng ctx.Bfs.universe;
                   restarts_left = restarts;
                   phase = `Sweep;
                 },
@@ -397,7 +405,7 @@ let anneal_machine seed : (module S) =
                     (List.length p);
                 ] ))
 
-    let propose ctx st =
+    let next ctx st =
       match st.phase with
       | `Seed -> ([ config_of_insns ctx st.current ], st)
       | `Sweep -> (
@@ -407,6 +415,10 @@ let anneal_machine seed : (module S) =
               ( [ config_of_insns ctx (i :: st.current) ],
                 { st with sweep = rest; phase = `Await i } ))
       | `Await _ | `Finished -> ([], st)
+
+    let propose ctx st =
+      let cfgs, st = next ctx st in
+      (wave cfgs, st)
 
     (* a sweep ended: either restart (evicting a random ~1/3) or finish *)
     let rec settle ctx st lines =
@@ -436,7 +448,7 @@ let anneal_machine seed : (module S) =
               st with
               best;
               current = keep;
-              sweep = shuffled st.rng (diff ctx.universe keep);
+              sweep = shuffled st.rng (diff ctx.Bfs.universe keep);
               restarts_left = st.restarts_left - 1;
               phase = `Sweep;
             }
@@ -454,7 +466,7 @@ let anneal_machine seed : (module S) =
             {
               st with
               current;
-              sweep = shuffled st.rng (diff ctx.universe current);
+              sweep = shuffled st.rng (diff ctx.Bfs.universe current);
               phase = `Sweep;
             }
           in
@@ -480,302 +492,13 @@ let anneal_machine seed : (module S) =
             if List.length st.current > List.length st.best then st.current
             else st.best
       in
-      List.map (fun i -> (i, entry_flag ctx)) chosen
+      as_flagged (List.map (fun i -> (i, entry_flag ctx)) chosen)
   end)
 
 let machine = function
-  | Bfs -> None
-  | Split -> Some (module Split_m : S)
-  | Delta -> Some (module Delta_m : S)
-  | Anneal seed -> Some (anneal_machine seed)
+  | Bfs -> Bfs.breadth_first
+  | Split -> (module Split_m : Bfs.MACHINE)
+  | Delta -> (module Delta_m : Bfs.MACHINE)
+  | Anneal seed -> anneal_machine seed
 
-(* ------------------------------------------------------------- driver *)
-
-let make_ctx options (target : Bfs.Target.t) =
-  let menu =
-    List.filter
-      (fun f -> not (Formats.equal f Formats.double))
-      options.Bfs.formats
-    |> List.sort_uniq Formats.compare_cost
-  in
-  let entry = match List.rev menu with f :: _ -> f | [] -> Formats.single in
-  let menu = if menu = [] then [ Formats.single ] else menu in
-  let base = options.Bfs.base in
-  let universe =
-    Array.to_list (Static.candidates target.Bfs.Target.program)
-    |> List.filter (fun info -> Config.effective base info = Config.Double)
-  in
-  let counts = target.Bfs.Target.profile () in
-  { target; options; counts; universe; menu; entry }
-
-let run_machine (module M : S) ?(options = Bfs.default_options)
-    (target : Bfs.Target.t) =
-  let ctx = make_ctx options target in
-  let log = ref [] in
-  let say fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
-  let says lines = List.iter (fun s -> log := s :: !log) lines in
-  let tested = ref 0 in
-  let snapshots = ref 0 in
-  let interrupted = ref false in
-  (* evaluation containment and pool staffing mirror Bfs exactly: a
-     caller-supplied pool is reused and left running, [workers > 1]
-     without one staffs a transient pool, and only [Bfs.Aborted] escapes *)
-  let transient_pool =
-    match (options.Bfs.pool, options.Bfs.workers) with
-    | Some _, _ | None, 1 -> None
-    | None, w when w <= 1 -> None
-    | None, w ->
-        Some (Pool.create ~options:{ Pool.default_options with workers = w } ())
-  in
-  let pool =
-    match options.Bfs.pool with Some p -> Some p | None -> transient_pool
-  in
-  let drain_pool () =
-    match pool with
-    | None -> ()
-    | Some p -> List.iter (fun e -> say "POOL %s" e) (Pool.drain_events p)
-  in
-  let eval_verdict cfg =
-    match target.Bfs.Target.eval cfg with
-    | true -> Verdict.Pass
-    | false -> Verdict.Fail_verify
-    | exception Bfs.Aborted -> raise Bfs.Aborted
-    | exception e -> Verdict.classify_exn e
-  in
-  let eval_wave cfgs =
-    tested := !tested + List.length cfgs;
-    match (cfgs, pool) with
-    | _, None -> List.map eval_verdict cfgs
-    | _, Some p -> Pool.run p (List.map (fun cfg () -> eval_verdict cfg) cfgs)
-  in
-  let contained_eval cfg =
-    match eval_wave [ cfg ] with [ v ] -> v = Verdict.Pass | _ -> false
-  in
-  let save_snapshot state =
-    match options.Bfs.checkpoint with
-    | None -> ()
-    | Some ck ->
-        Checkpoint.save ~path:ck.Bfs.path
-          {
-            Checkpoint.key = Checkpoint.program_key target.Bfs.Target.program;
-            tested = !tested;
-            next_seq = 0;
-            queue = [];
-            passing =
-              List.map
-                (fun (i, fl) -> Checkpoint.flagged_id (Static.Insn i, fl))
-                (by_addr (M.flagged ctx state));
-            counters = ck.Bfs.save_counters ();
-            log = List.rev !log;
-            strategy = M.name;
-          };
-        incr snapshots
-  in
-  let resume =
-    match options.Bfs.checkpoint with
-    | Some ck when ck.Bfs.resume -> (
-        match Checkpoint.load ~path:ck.Bfs.path with
-        | Error msg ->
-            say "CHECKPOINT not resumed: %s" msg;
-            None
-        | Ok snap
-          when snap.Checkpoint.key
-               <> Checkpoint.program_key target.Bfs.Target.program ->
-            say "CHECKPOINT not resumed: written by a different program (key %s)"
-              snap.Checkpoint.key;
-            None
-        | Ok snap when snap.Checkpoint.strategy <> M.name ->
-            say "CHECKPOINT not resumed: written by strategy %s"
-              snap.Checkpoint.strategy;
-            None
-        | Ok snap -> (
-            let resolved =
-              List.fold_left
-                (fun acc id ->
-                  match acc with
-                  | Error _ as e -> e
-                  | Ok fs -> (
-                      match
-                        Checkpoint.resolve_flagged target.Bfs.Target.program id
-                      with
-                      | Ok (node, fl) -> (
-                          match Static.node_insns node with
-                          | [ info ] -> Ok ((info, fl) :: fs)
-                          | _ ->
-                              Error
-                                (Printf.sprintf
-                                   "checkpoint id %S is not one instruction" id))
-                      | Error _ as e -> e))
-                (Ok []) snap.Checkpoint.passing
-              |> Result.map List.rev
-            in
-            match resolved with
-            | Error msg ->
-                say "CHECKPOINT not resumed: %s" msg;
-                None
-            | Ok fs ->
-                log := List.rev snap.Checkpoint.log;
-                tested := snap.Checkpoint.tested;
-                ck.Bfs.restore_counters snap.Checkpoint.counters;
-                say "RESUME from %s checkpoint: %d tested, %d accepted" M.name
-                  snap.Checkpoint.tested (List.length fs);
-                Some fs))
-    | _ -> None
-  in
-  let st0, lines0 = M.init ctx ~resume in
-  says lines0;
-  let state = ref st0 in
-  let run () =
-    let wave = ref 0 in
-    let every =
-      match options.Bfs.checkpoint with
-      | Some ck -> max 1 ck.Bfs.every
-      | None -> max_int
-    in
-    (* ------------------------------------------------------- wave loop *)
-    let rec loop () =
-      if options.Bfs.stop () then begin
-        save_snapshot !state;
-        interrupted := true;
-        say "STOP requested: composing what was accepted so far"
-      end
-      else begin
-        let cfgs, st = M.propose ctx !state in
-        state := st;
-        match cfgs with
-        | [] -> ()
-        | cfgs ->
-            incr wave;
-            let verdicts = eval_wave cfgs in
-            let st, lines = M.consume ctx !state verdicts in
-            state := st;
-            says lines;
-            drain_pool ();
-            if !wave mod every = 0 then save_snapshot !state;
-            loop ()
-      end
-    in
-    loop ();
-    (* ---------------------------------------------------------- finish *)
-    let fs = ref (by_addr (M.flagged ctx !state)) in
-    let final = ref (config_of_flagged ctx !fs) in
-    let final_pass = ref (contained_eval !final) in
-    say "FINAL union of %d passing instructions: %s" (List.length !fs)
-      (if !final_pass then "pass" else "fail");
-    if (not !final_pass) && options.Bfs.second_phase then begin
-      (* greedy composition, heaviest first, exactly like Bfs's second
-         phase but over instructions *)
-      let units =
-        List.sort
-          (fun (a, _) (b, _) ->
-            match compare (count ctx b) (count ctx a) with
-            | 0 -> compare (addr a) (addr b)
-            | c -> c)
-          !fs
-      in
-      let acc = ref [] in
-      List.iter
-        (fun (i, fl) ->
-          let trial = (i, fl) :: !acc in
-          if contained_eval (config_of_flagged ctx trial) then begin
-            acc := trial;
-            say "COMPOSE keep 0x%06x" (addr i)
-          end
-          else say "COMPOSE drop 0x%06x" (addr i))
-        units;
-      fs := by_addr !acc;
-      final := config_of_flagged ctx !fs;
-      final_pass := true
-    end;
-    if !final_pass && not !interrupted then begin
-      (* greedy top-up: every candidate the strategy left double gets one
-         chance on top of the final set, heaviest first — each strategy
-         ends maximal over the same move set, which is what makes the
-         bake-off's "no worse than BFS" assertion meaningful *)
-      let missing = by_count_desc ctx (diff ctx.universe (List.map fst !fs)) in
-      List.iter
-        (fun i ->
-          let trial = (i, entry_flag ctx) :: !fs in
-          if contained_eval (config_of_flagged ctx trial) then begin
-            fs := by_addr trial;
-            say "TOPUP keep 0x%06x" (addr i)
-          end)
-        missing;
-      final := config_of_flagged ctx !fs;
-      (* per-instruction lattice descent, cheapest format first, keeping
-         the whole configuration passing after every accepted step *)
-      let lower =
-        List.filter (fun f -> Formats.compare_cost f ctx.entry < 0) ctx.menu
-      in
-      if lower <> [] then
-        List.iter
-          (fun (i, _) ->
-            let rec try_fmts = function
-              | [] -> ()
-              | f :: rest ->
-                  let trial =
-                    List.map
-                      (fun (j, fl) ->
-                        if addr j = addr i then (j, Config.of_format f)
-                        else (j, fl))
-                      !fs
-                  in
-                  if contained_eval (config_of_flagged ctx trial) then begin
-                    fs := trial;
-                    say "LATTICE 0x%06x descends to %s" (addr i)
-                      (Formats.name f)
-                  end
-                  else try_fmts rest
-            in
-            try_fmts lower)
-          !fs;
-      final := config_of_flagged ctx !fs
-    end;
-    save_snapshot !state;
-    let replaced info =
-      match Config.effective !final info with
-      | Config.Single | Config.Fmt _ -> true
-      | Config.Double | Config.Ignore -> false
-    in
-    let n_candidates = List.length ctx.universe in
-    let static_replaced = List.length (List.filter replaced ctx.universe) in
-    let dyn_num, dyn_den =
-      Array.fold_left
-        (fun (num, den) (info : Static.insn_info) ->
-          let c = ctx.counts.(info.Static.addr) in
-          ((if replaced info then num + c else num), den + c))
-        (0, 0)
-        (Static.candidates target.Bfs.Target.program)
-    in
-    drain_pool ();
-    {
-      Bfs.final = !final;
-      final_pass = !final_pass;
-      candidates = n_candidates;
-      tested = !tested;
-      static_replaced;
-      static_pct =
-        Stats.percent (float_of_int static_replaced) (float_of_int n_candidates);
-      dynamic_pct =
-        Stats.percent (float_of_int dyn_num) (float_of_int dyn_den);
-      passing_nodes = List.map (fun (i, _) -> Static.Insn i) !fs;
-      passing_flags = List.map (fun (i, fl) -> (Static.Insn i, fl)) !fs;
-      bits_saved = Config.bits_saved target.Bfs.Target.program !final;
-      log = List.rev !log;
-      supervisor = Option.map Pool.stats pool;
-      snapshots = !snapshots;
-      pruned = 0;
-      interrupted = !interrupted;
-    }
-  in
-  match transient_pool with
-  | None -> run ()
-  | Some p -> Fun.protect ~finally:(fun () -> Pool.shutdown p) run
-
-let run ?(options = Bfs.default_options) token target =
-  match machine token with
-  | None ->
-      (* bfs IS the pre-strategy search: same moves, same journal, same
-         checkpoints, same result, byte-for-byte *)
-      Bfs.search ~options target
-  | Some m -> run_machine m ~options target
+let run ?options token target = Bfs.drive (machine token) ?options target

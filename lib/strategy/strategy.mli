@@ -1,31 +1,23 @@
-(** Pluggable search strategies behind one interface.
+(** Pluggable search strategies: the tokens that name them and the wave
+    machines behind them.
 
     The paper's search is a fixed breadth-first descent over the precision
-    hierarchy ({!Bfs}); this module makes the {e policy} pluggable while
-    keeping every piece of campaign machinery — the harness/pool/fleet
-    evaluation path, shadow reports, per-instruction execution counts, the
-    precision-format lattice, checkpoints — available to each policy
-    through one {!ctx} record.
+    hierarchy; §2.5 leaves other search heuristics as future work. Every
+    strategy here is a {!Bfs.MACHINE} — a wave state machine that
+    {e proposes} the next wave of configurations and {e consumes} its
+    verdicts — run by the one campaign driver, {!Bfs.drive}, which owns
+    pool evaluation and containment, checkpoints, stop polling and the
+    finish. [bfs] is {!Bfs.breadth_first}, so [run Bfs] {e is}
+    {!Bfs.search}. [split], [delta] and [anneal] search the flat candidate
+    set one instruction at a time and share the {!Bfs.Instructions}
+    finish (union, optional greedy composition, a greedy {e top-up} sweep
+    and the in-place lattice descent), so every one of them ends maximal
+    over the same move set and the "no worse than BFS" bake-off assertion
+    is an apples-to-apples comparison.
 
-    A strategy is a wave state machine ({!S}): it {e proposes} the next
-    wave of candidate configurations, the driver evaluates them (on the
-    caller's pool when one is supplied, sequentially otherwise, always
-    with per-item verdict containment), and the strategy {e consumes} the
-    verdicts, until it proposes an empty wave. The driver then composes
-    the final configuration exactly like {!Bfs} does — union evaluation,
-    optional greedy second-phase composition — plus a greedy {e top-up}
-    sweep (every still-double candidate gets one chance on top of the
-    final set) and the per-instruction lattice descent, so every strategy
-    ends maximal over the same move set and the "no worse than BFS"
-    bake-off assertion is an apples-to-apples comparison.
-
-    [bfs] itself is {e not} re-implemented on the wave machine: {!run}
-    with {!token.Bfs} delegates wholesale to {!Bfs.search}, so journals,
-    checkpoints and finals reproduce byte-for-byte — the refactor moves
-    the dispatch point, not the moves. Checkpoints written by the other
-    strategies carry a [strategy] tag ({!Checkpoint.snapshot}) and refuse
-    to resume under a different strategy; untagged (pre-strategy)
-    snapshots load as [bfs]. *)
+    Checkpoints written by the flat machines carry a [strategy] tag
+    ({!Checkpoint.snapshot}) and refuse to resume under a different
+    strategy; untagged (pre-strategy) snapshots load as [bfs]. *)
 
 (** {1 Strategy tokens} *)
 
@@ -52,65 +44,16 @@ val to_string : token -> string
 val known : string list
 (** The canonical token spellings, for help strings. *)
 
-(** {1 The strategy interface} *)
-
-type flagged = (Static.insn_info * Config.flag) list
-(** An accepted replacement set: candidate instructions with the precision
-    flag each one currently holds. *)
-
-type ctx = {
-  target : Bfs.Target.t;  (** program, eval path, profile, code cache *)
-  options : Bfs.options;
-      (** the full campaign options: base config, pool, checkpointing,
-          shadow guidance, format menu, stop polling — strategies read
-          what they need *)
-  counts : int array;
-      (** address-indexed dynamic execution counts from one profiling run *)
-  universe : Static.insn_info list;
-      (** the candidate instructions still double under [options.base] —
-          the paper's set [Pd] minus user hints *)
-  menu : Formats.t list;
-      (** reduced formats of [options.formats], cost-sorted ascending;
-          [[Formats.single]] when the menu is empty *)
-  entry : Formats.t;
-      (** widest reduced format — the flag structural moves are tried at *)
-}
-
-module type S = sig
-  type state
-
-  val name : string
-  (** The checkpoint/WAL tag; must round-trip through {!of_string}. *)
-
-  val init : ctx -> resume:flagged option -> state * string list
-  (** Fresh state, plus narration lines. [resume] carries the accepted set
-      restored from a matching strategy-tagged checkpoint. *)
-
-  val propose : ctx -> state -> Config.t list * state
-  (** The next wave of configurations to evaluate (empty = the strategy is
-      done), and the state remembering what was proposed. *)
-
-  val consume : ctx -> state -> Verdict.verdict list -> state * string list
-  (** Fold one wave's verdicts (in proposal order) into the state. *)
-
-  val flagged : ctx -> state -> flagged
-  (** The accepted set so far — what checkpoints persist and what the
-      driver composes, tops up and lattice-descends at the end. *)
-end
-
 (** {1 Running} *)
 
-val run_machine : (module S) -> ?options:Bfs.options -> Bfs.Target.t -> Bfs.result
-(** Drive one wave machine to completion: propose/evaluate/consume loop
-    with pool evaluation, per-wave checkpointing (strategy-tagged),
-    cooperative stop at wave boundaries, then the shared finish
-    (union, second phase, top-up, lattice descent). Raises only
-    {!Bfs.Aborted}, like {!Bfs.search}. *)
-
-val machine : token -> (module S) option
-(** The wave machine behind a token; [None] for {!token.Bfs}, which runs
-    as {!Bfs.search} unchanged. *)
-
 val run : ?options:Bfs.options -> token -> Bfs.Target.t -> Bfs.result
-(** Run a strategy campaign. [run Bfs] {e is} [Bfs.search ~options] —
-    same moves, same journal, same checkpoints, same result. *)
+(** Run a strategy campaign: {!Bfs.drive} with the token's machine.
+    [run Bfs] is [Bfs.search ~options]. The flat machines are
+    count-weighted binary splitting ([split]: one group holding the whole
+    universe, a failing group splits into halves of equal dynamic weight,
+    heaviest groups first, [workers] groups per wave), Precimonious-style
+    delta-debugging ([delta]: complements of ever-finer partitions proposed
+    as one wave, then grow-back coldest first) and shadow-seeded greedy
+    descent with two seeded random restarts ([anneal], strictly sequential,
+    so bit-deterministic on every evaluation path). Raises only
+    {!Bfs.Aborted}. *)

@@ -397,11 +397,15 @@ let test_compiled_pool_deadline () =
     ~finally:(fun () -> Pool.shutdown p)
     (fun () ->
       let v =
-        Pool.run_one p (fun () ->
-            Verdict.classify (fun () ->
-                let vm = Vm.create prog in
-                Compile.run vm;
-                true))
+        List.hd
+          (Pool.run p
+             [
+               (fun () ->
+                 Verdict.classify (fun () ->
+                     let vm = Vm.create prog in
+                     Compile.run vm;
+                     true));
+             ])
       in
       Alcotest.check Alcotest.string "cancelled cooperatively"
         (Verdict.verdict_label Verdict.Step_timeout)

@@ -18,8 +18,9 @@ let () =
       ("harness", Test_harness.suite);
       ("pool", Test_pool.suite);
       ("checkpoint", Test_checkpoint.suite);
-      ("strategies", Test_strategies.suite);
       ("strategy", Test_strategy.suite);
+      ("strategies", Test_strategy.strategies_suite);
+      ("replay", Test_replay.suite);
       ("kernels", Test_kernels.suite);
       ("superlu", Test_superlu.suite);
       ("analysis", Test_analysis.suite);

@@ -32,6 +32,10 @@ let hang () =
 
 (* ------------------------------------------------- ordering *)
 
+(* one task through [Pool.run]: one verdict back *)
+let run1 p thunk =
+  match Pool.run p [ thunk ] with [ v ] -> v | _ -> Alcotest.fail "one task, one verdict"
+
 let test_results_in_submission_order () =
   with_pool ~options:{ Pool.default_options with workers = 3 } (fun p ->
       let thunks =
@@ -116,7 +120,7 @@ let test_cooperative_vm_cancel () =
       }
     (fun p ->
       let v =
-        Pool.run_one p (fun () ->
+        run1 p (fun () ->
             Verdict.classify (fun () ->
                 let vm = Vm.create prog in
                 Vm.run vm;
@@ -164,7 +168,7 @@ let test_quarantine_after_one () =
   with_pool
     ~options:{ Pool.default_options with workers = 1; quarantine_after = 1 }
     (fun p ->
-      (match Pool.run_one p (fun () -> raise Not_found) with
+      (match run1 p (fun () -> raise Not_found) with
       | Verdict.Crashed _ -> ()
       | v -> Alcotest.failf "expected crash, got %a" Verdict.pp_verdict v);
       let s = Pool.stats p in
@@ -200,7 +204,7 @@ let test_collapse_degrades_to_serial () =
         (List.exists (fun e -> has_substring ~sub:"degrading" e) !events);
       (* a degraded pool keeps accepting and finishing work *)
       Alcotest.check verdict_t "still serves" Verdict.Pass
-        (Pool.run_one p (fun () -> Verdict.Pass)))
+        (run1 p (fun () -> Verdict.Pass)))
 
 (* ------------------------------------------------- Bfs integration *)
 
@@ -285,14 +289,30 @@ let test_bfs_oom_and_stack_overflow_are_crash_verdicts () =
        (List.filter (fun l -> has_prefix ~prefix:"CRASH" l) res.Bfs.log))
 
 let test_strategies_under_pool () =
-  let _, target = Test_harness.synthetic ~n_ops:6 ~poison:[ 2 ] () in
-  let plain = Strategies.greedy_grow target in
-  with_pool ~options:{ Pool.default_options with workers = 2 } (fun p ->
-      let pooled = Strategies.greedy_grow ~pool:p target in
-      checki "same replacements" plain.Strategies.static_replaced
-        pooled.Strategies.static_replaced;
-      checki "same test count" plain.Strategies.tested pooled.Strategies.tested;
-      checki "every test supervised" pooled.Strategies.tested (Pool.stats p).Pool.tasks)
+  (* every evaluation of every strategy runs under the caller's pool: the
+     waves, BFS's shadow-seed probe and per-structure lattice descent, the
+     final union and the top-up of the flat machines *)
+  let program, target = Test_harness.synthetic ~n_ops:6 ~poison:[ 2; 4 ] () in
+  let tracer =
+    Shadow_tracer.create ~config:(Shadow_tracer.all_single program) program
+  in
+  let (_ : Vm.t) = Shadow_tracer.trace tracer ~setup:(fun _ -> ()) in
+  let shadow = Bfs.shadow (Shadow_report.make program tracer) in
+  let formats = Result.get_ok (Formats.menu_of_string "bf16,f16,single,double") in
+  List.iter
+    (fun tok ->
+      with_pool ~options:{ Pool.default_options with workers = 2 } (fun p ->
+          let r =
+            Strategy.run
+              ~options:
+                { Bfs.default_options with pool = Some p; shadow = Some shadow; formats }
+              tok target
+          in
+          checkb "passes" true r.Bfs.final_pass;
+          checki
+            (Strategy.to_string tok ^ ": every evaluation supervised")
+            r.Bfs.tested (Pool.stats p).Pool.tasks))
+    Strategy.[ Bfs; Split; Delta; Anneal default_seed ]
 
 let suite =
   [

@@ -1,10 +1,13 @@
 (* Tests for the pluggable search-strategy subsystem: token parsing,
-   bfs-delegation fidelity (Strategy.run Bfs replays the exact evaluation
+   bfs-token fidelity (Strategy.run Bfs replays the exact evaluation
    sequence of Bfs.search on fuzzed programs), split/delta/anneal sanity
    on known-answer synthetics, anneal fixed-seed determinism across the
    sequential and pool evaluation paths, and strategy-tagged checkpoint
    compatibility — untagged pre-strategy snapshots load and resume as
-   bfs, tagged snapshots refuse to resume under a different strategy. *)
+   bfs, tagged snapshots refuse to resume under a different strategy.
+   [strategies_suite] holds the delta-debugging and greedy-sweep
+   known answers. Byte-for-byte fidelity of every strategy to the
+   two-driver recording is the replay suite's job (test_replay.ml). *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -97,6 +100,8 @@ let recording target =
     },
     log )
 
+(* the [bfs] token must select the breadth-first machine with the caller's
+   options untouched: same evaluations, log and final as Bfs.search *)
 let prop_bfs_delegation =
   let gen =
     QCheck2.Gen.(pair (int_range 1 6) (list_size (int_bound 4) (int_bound 5)))
@@ -161,6 +166,71 @@ let test_anneal_determinism () =
     (Config.digest p c.Bfs.final);
   checki "same evals" a.Bfs.tested c.Bfs.tested;
   checki "same bits" a.Bfs.bits_saved c.Bfs.bits_saved
+
+let test_machines_respect_base_hints () =
+  let k = Nas_ep.make Kernel.W in
+  let cands = Static.candidates k.Kernel.program in
+  let ignored =
+    Array.to_list cands
+    |> List.filter (fun i -> Config.effective k.Kernel.hints i = Config.Ignore)
+  in
+  checkb "ep.W carries ignore hints" true (ignored <> []);
+  List.iter
+    (fun tok ->
+      let name = Strategy.to_string tok in
+      let r =
+        Strategy.run
+          ~options:{ Bfs.default_options with base = k.Kernel.hints }
+          tok (Kernel.target k)
+      in
+      (* ignored RNG instructions are not in the universe and stay ignored *)
+      checki (name ^ " universe excludes ignored")
+        (Array.length cands - List.length ignored)
+        r.Bfs.candidates;
+      checkb (name ^ " hints survive") true
+        (List.for_all (fun i -> Config.effective r.Bfs.final i = Config.Ignore) ignored))
+    [ Strategy.Split; Strategy.Delta; Strategy.Anneal Strategy.default_seed ]
+
+(* ------------------------------- delta-debugging and the greedy sweep *)
+
+(* The [strategies] suite: the known-answer properties of the ddmin and
+   greedy searches, held by their wave-machine forms — [delta] and the
+   greedy sweep that [anneal] starts from when no shadow seed is given. *)
+
+let test_delta_debug_finds_answer () =
+  let r = Strategy.run Strategy.Delta (synthetic ~n_ops:10 ~poison:[ 3; 7 ]) in
+  checkb "passes" true r.Bfs.final_pass;
+  (* exactly the benign 8 chains * 2 insns are single *)
+  checki "replaced" 16 r.Bfs.static_replaced;
+  checki "candidates" 20 r.Bfs.candidates
+
+let test_delta_debug_all_pass () =
+  let r = Strategy.run Strategy.Delta (synthetic ~n_ops:6 ~poison:[]) in
+  checkb "passes" true r.Bfs.final_pass;
+  checki "everything" 12 r.Bfs.static_replaced;
+  (* the first test (everything single) already passes: nothing is
+     shrunk or grown back, and the finish re-verifies that one set *)
+  checkb "first test passes" true
+    (List.mem "DELTA active set of 12 passes" r.Bfs.log);
+  checki "one test plus the final union" 2 r.Bfs.tested
+
+let test_delta_debug_none_pass () =
+  let r = Strategy.run Strategy.Delta (synthetic ~n_ops:4 ~poison:[ 0; 1; 2; 3 ]) in
+  checkb "passes" true r.Bfs.final_pass;
+  (* only the exact constants could survive; the adds all fail *)
+  checkb "few replaced" true (r.Bfs.static_replaced <= 4)
+
+let test_greedy_always_passes () =
+  let r =
+    Strategy.run (Strategy.Anneal Strategy.default_seed)
+      (synthetic ~n_ops:8 ~poison:[ 2 ])
+  in
+  checkb "passes" true r.Bfs.final_pass;
+  checkb "greedy sweep from empty" true
+    (List.mem "ANNEAL no shadow seed; greedy sweep from empty" r.Bfs.log);
+  (* the first sweep offers every candidate once *)
+  checkb "a test per candidate" true (r.Bfs.tested >= r.Bfs.candidates);
+  checki "all benign kept" 14 r.Bfs.static_replaced
 
 (* --------------------------------------------- checkpoint compatibility *)
 
@@ -269,8 +339,17 @@ let suite =
     ("strategy: split/delta/anneal find the known answer", `Quick, test_machines_find_the_answer);
     ("strategy: machines survive an all-poisoned kernel", `Quick, test_machines_all_poisoned);
     ("strategy: anneal seed is deterministic across eval paths", `Quick, test_anneal_determinism);
+    ("strategy: machines respect base hints", `Quick, test_machines_respect_base_hints);
     ("strategy: pre-strategy fixture loads as bfs", `Quick, test_prestrategy_fixture_loads_as_bfs);
     ("strategy: bfs snapshots stay untagged", `Quick, test_bfs_snapshots_stay_untagged);
     ("strategy: tagged snapshot refuses other strategies", `Quick, test_tagged_snapshot_refuses_other_strategy);
     ("strategy: bfs resumes untagged snapshots", `Quick, test_bfs_resumes_untagged_snapshot_via_strategy_run);
+  ]
+
+let strategies_suite =
+  [
+    ("delta_debug finds the answer", `Quick, test_delta_debug_finds_answer);
+    ("delta_debug: all pass", `Quick, test_delta_debug_all_pass);
+    ("delta_debug: none pass", `Quick, test_delta_debug_none_pass);
+    ("greedy always passes", `Quick, test_greedy_always_passes);
   ]
