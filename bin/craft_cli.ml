@@ -598,36 +598,51 @@ let journal_cmd =
       value & flag
       & info [ "verify" ]
           ~doc:
-            "Integrity scan: record and duplicate-digest counts, trailing corruption \
-             (the truncated half-record a crash legitimately leaves — tolerated), and \
-             torn records (unparseable lines $(i,before) the last good one — mid-file \
-             corruption, exit status 1).")
+            "Integrity scan of a journal, store log or job WAL (told apart by the header \
+             line): record counts, duplicate digests (journals), trailing corruption (the \
+             half-record a crash legitimately leaves — tolerated), and torn records \
+             (unparseable lines $(i,before) the last good one — exit status 1).")
   in
   let run path verify =
     if verify then begin
-      match Journal.verify ~path with
-      | Error why ->
-          prerr_endline ("craft: " ^ why);
-          exit 1
-      | Ok r ->
-          Format.printf "%s: %d record(s), %d distinct digest(s)@." path r.Journal.records
-            r.Journal.distinct;
-          List.iter (fun (label, n) -> Format.printf "  %-8s %d@." label n) r.Journal.verdicts;
-          List.iter
-            (fun (digest, n) -> Format.printf "duplicate digest: %s (%d records)@." digest n)
-            r.Journal.duplicates;
-          if r.Journal.trailing_bad > 0 then
-            Format.printf
-              "trailing corruption: %d unparseable line(s) at the end (crash truncation — \
-               tolerated on replay)@."
-              r.Journal.trailing_bad;
-          if r.Journal.torn then begin
-            Format.printf
-              "TORN: %d unparseable line(s) before the last good record — this is mid-file \
-               corruption, not crash truncation@."
-              (r.Journal.bad - r.Journal.trailing_bad);
-            exit 1
-          end
+      let first = In_channel.with_open_bin path In_channel.input_line in
+      let is (codec : _ Durable_log.codec) =
+        Option.fold ~none:false ~some:(String.starts_with ~prefix:codec.header) first
+      in
+      let scan kind codec =
+        let d = snd (Durable_log.replay codec ~path) in
+        Format.printf "%s: %s, %d record(s)@." path kind d.Durable_log.records;
+        d
+      in
+      let d =
+        if is Store.codec then scan "store log" Store.codec
+        else if is Wal.codec then scan "job WAL" Wal.codec
+        else
+          match Journal.verify ~path with
+          | Error why ->
+              prerr_endline ("craft: " ^ why);
+              exit 1
+          | Ok (r : Journal.verify_report) ->
+              Format.printf "%s: %d record(s), %d distinct digest(s)@." path r.records
+                r.distinct;
+              List.iter (fun (label, n) -> Format.printf "  %-8s %d@." label n) r.verdicts;
+              List.iter
+                (fun (d, n) -> Format.printf "duplicate digest: %s (%d records)@." d n)
+                r.duplicates;
+              { Durable_log.records = r.records; bad = r.bad; trailing_bad = r.trailing_bad }
+      in
+      if d.trailing_bad > 0 then
+        Format.printf
+          "trailing corruption: %d unparseable line(s) at the end (crash truncation — \
+           tolerated on replay)@."
+          d.trailing_bad;
+      if Durable_log.torn d then begin
+        Format.printf
+          "TORN: %d unparseable line(s) before the last good record — this is mid-file \
+           corruption, not crash truncation@."
+          (d.bad - d.trailing_bad);
+        exit 1
+      end
     end
     else begin
       let records = Journal.scan ~path in
@@ -654,7 +669,8 @@ let journal_cmd =
     (Cmd.info "journal"
        ~doc:
          "Inspect an evaluation journal: per-verdict counts and the digest of the last \
-          record (read-only); $(b,--verify) adds an integrity scan")
+          record (read-only); $(b,--verify) scans a journal, store log or job WAL for \
+          damage")
     Term.(const run $ path_arg $ verify_arg)
 
 let store_cmd =

@@ -1,60 +1,44 @@
-let header = "# craft-journal v1"
+type record = { digest : string; verdict : Harness.verdict; seq : int; summary : string }
 
-type sync_policy =
-  | Flush_only  (* per-record flush; fsync left to the OS (and {!sync}) *)
-  | Fsync_each  (* per-record flush + fsync: power loss can only truncate *)
+let decode line =
+  let left, summary =
+    match String.index_opt line '|' with
+    | Some i ->
+        let rest = String.sub line (i + 1) (String.length line - i - 1) in
+        (String.sub line 0 i, String.trim rest)
+    | None -> (line, "")
+  in
+  match String.split_on_char ' ' left |> List.filter (fun s -> s <> "") with
+  | [ digest; verdict; seq ] when String.length digest = 16 -> (
+      match (Harness.verdict_of_string verdict, int_of_string_opt seq) with
+      | Some verdict, Some seq -> Some { digest; verdict; seq; summary }
+      | _ -> None)
+  | _ -> None
+
+let codec =
+  {
+    Durable_log.header = "# craft-journal v1";
+    encode =
+      (fun r ->
+        Printf.sprintf "%s %s %d | %s" r.digest (Harness.verdict_to_string r.verdict) r.seq
+          r.summary);
+    decode;
+  }
 
 type t = {
   path : string;
+  log : record Durable_log.t;
   program : Ir.program;
   memo : (string, Harness.verdict) Hashtbl.t;
-  oc : out_channel;
-  policy : sync_policy;
   mutable seq : int;  (* tests-so-far column of the next record *)
-  mutable replayed : int;
+  replayed : int;
   mutable hits : int;
   mutable fresh : int;
   lock : Mutex.t;
 }
 
-(* One record per line; anything that does not parse — malformed, or the
-   truncated half-record a crash leaves at the end of the file — is
-   silently dropped. *)
-let parse_line line =
-  let line = String.trim line in
-  if line = "" || (String.length line > 0 && line.[0] = '#') then None
-  else begin
-    let left =
-      match String.index_opt line '|' with
-      | Some i -> String.trim (String.sub line 0 i)
-      | None -> line
-    in
-    match String.split_on_char ' ' left |> List.filter (fun s -> s <> "") with
-    | [ digest; verdict; seq ] when String.length digest = 16 -> (
-        match (Harness.verdict_of_string verdict, int_of_string_opt seq) with
-        | Some v, Some _ -> Some (digest, v)
-        | _ -> None)
-    | _ -> None
-  end
-
-let read_records path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let records = ref [] in
-    (try
-       while true do
-         match parse_line (input_line ic) with
-         | Some r -> records := r :: !records
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !records
-  end
-
-let load ~path (_ : Ir.program) = read_records path
-let scan ~path = read_records path
+let scan ~path =
+  List.map (fun r -> (r.digest, r.verdict)) (fst (Durable_log.replay codec ~path))
 
 (* ----------------------------------------------------------- verification *)
 
@@ -71,68 +55,41 @@ type verify_report = {
 let verify ~path =
   if not (Sys.file_exists path) then Error (path ^ ": no such journal")
   else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let by_digest = Hashtbl.create 256 in
-    let by_verdict = Hashtbl.create 8 in
-    let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
-    let records = ref 0 and bad = ref 0 and trailing = ref 0 in
-    List.iter
-      (fun line ->
-        let trimmed = String.trim line in
-        if trimmed = "" || trimmed.[0] = '#' then ()
-        else
-          match parse_line line with
-          | Some (digest, v) ->
-              incr records;
-              bump by_digest digest;
-              bump by_verdict (Harness.verdict_label v);
-              trailing := 0
-          | None ->
-              incr bad;
-              incr trailing)
-      (List.rev !lines);
-    let sorted tbl = Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [] |> List.sort compare in
+    let records, damage = Durable_log.replay codec ~path in
+    let tally key =
+      let tbl = Hashtbl.create 256 in
+      List.iter
+        (fun r ->
+          let k = key r in
+          Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
+        records;
+      Hashtbl.fold (fun k n acc -> (k, n) :: acc) tbl [] |> List.sort compare
+    in
+    let by_digest = tally (fun r -> r.digest) in
     Ok
       {
-        records = !records;
-        distinct = Hashtbl.length by_digest;
-        duplicates = List.filter (fun (_, n) -> n > 1) (sorted by_digest);
-        verdicts = sorted by_verdict;
-        bad = !bad;
-        trailing_bad = !trailing;
-        (* a bad line with good records after it cannot be crash truncation:
-           something tore (or scribbled on) the middle of the file *)
-        torn = !bad > !trailing;
+        records = damage.records;
+        distinct = List.length by_digest;
+        duplicates = List.filter (fun (_, n) -> n > 1) by_digest;
+        verdicts = tally (fun r -> Harness.verdict_label r.verdict);
+        bad = damage.bad;
+        trailing_bad = damage.trailing_bad;
+        torn = Durable_log.torn damage;
       }
   end
 
-let create ?(resume = false) ?(sync = Flush_only) ~path program =
-  let records = if resume then read_records path else [] in
+let create ?(resume = false) ~path program =
+  if not resume && Sys.file_exists path then Sys.remove path;
+  let log, records = Durable_log.create codec ~path in
   let memo = Hashtbl.create 256 in
-  List.iter (fun (d, v) -> if not (Hashtbl.mem memo d) then Hashtbl.add memo d v) records;
-  let fresh_file = (not resume) || not (Sys.file_exists path) in
-  let flags =
-    if resume then [ Open_wronly; Open_append; Open_creat ]
-    else [ Open_wronly; Open_trunc; Open_creat ]
-  in
-  let oc = open_out_gen flags 0o644 path in
-  if fresh_file then begin
-    output_string oc (header ^ "\n");
-    flush oc
-  end;
+  List.iter
+    (fun r -> if not (Hashtbl.mem memo r.digest) then Hashtbl.add memo r.digest r.verdict)
+    records;
   {
     path;
+    log;
     program;
     memo;
-    oc;
-    policy = sync;
     seq = Hashtbl.length memo;
     replayed = Hashtbl.length memo;
     hits = 0;
@@ -140,19 +97,8 @@ let create ?(resume = false) ?(sync = Flush_only) ~path program =
     lock = Mutex.create ();
   }
 
-let fsync_oc oc =
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
-
-let sync t =
-  Mutex.protect t.lock (fun () ->
-      flush t.oc;
-      fsync_oc t.oc)
-
-let close t =
-  Mutex.protect t.lock (fun () ->
-      flush t.oc;
-      fsync_oc t.oc;
-      close_out t.oc)
+let sync t = Durable_log.sync t.log
+let close t = Durable_log.close t.log
 let path t = t.path
 let entries t = Mutex.protect t.lock (fun () -> Hashtbl.length t.memo)
 let replayed t = t.replayed
@@ -173,15 +119,7 @@ let record_key t key ~summary verdict =
         Hashtbl.add t.memo key verdict;
         t.seq <- t.seq + 1;
         t.fresh <- t.fresh + 1;
-        Printf.fprintf t.oc "%s %s %d | %s\n" key
-          (Harness.verdict_to_string verdict)
-          t.seq summary;
-        (* flush per record: a crash loses at most the line being written *)
-        flush t.oc;
-        (* under [Fsync_each], neither can a power loss: the record is on
-           disk before the verdict is acted on, so the file can only ever
-           end in a truncated line — never a torn earlier one *)
-        match t.policy with Fsync_each -> fsync_oc t.oc | Flush_only -> ()
+        Durable_log.append t.log { digest = key; verdict; seq = t.seq; summary }
       end)
 
 let summary_of cfg =
@@ -193,19 +131,14 @@ let lookup t cfg = lookup_key t (Config.digest t.program cfg)
 let record t cfg verdict =
   record_key t (Config.digest t.program cfg) ~summary:(summary_of cfg) verdict
 
-let wrap t f cfg =
-  let key = Config.digest t.program cfg in
-  match lookup_key t key with
-  | Some v -> v
-  | None ->
-      let v = f cfg in
-      record_key t key ~summary:(summary_of cfg) v;
-      v
-
 let wrap_target t ~harness (target : Bfs.Target.t) =
   let eval cfg =
-    match wrap t (Harness.eval harness) cfg with
-    | Harness.Pass -> true
-    | _ -> false
+    let key = Config.digest t.program cfg in
+    match lookup_key t key with
+    | Some v -> v = Harness.Pass
+    | None ->
+        let v = Harness.eval harness cfg in
+        record_key t key ~summary:(summary_of cfg) v;
+        v = Harness.Pass
   in
   { target with Bfs.Target.eval }

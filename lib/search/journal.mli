@@ -1,16 +1,17 @@
 (** Append-only evaluation journal: crash-safe checkpoint/resume for the
     autosearch.
 
-    Every classified verdict is appended as one text record and flushed, so
-    an interrupted NAS-scale campaign (SIGKILL, OOM, power) loses at most
-    the record being written. Re-opening with [resume:true] replays the
-    journal into an in-memory memo table; evaluations whose configuration
-    digest is already journaled are served from the memo without running
-    the program, and the search continues where it stopped instead of
+    Every classified verdict is appended as one record of a
+    {!Durable_log}, flushed before the verdict is acted on, so an
+    interrupted NAS-scale campaign (SIGKILL, OOM) loses at most the record
+    being written. Re-opening with [resume:true] replays the journal into
+    an in-memory memo table; evaluations whose configuration digest is
+    already journaled are served from the memo without running the
+    program, and the search continues where it stopped instead of
     restarting.
 
-    Record format (text, one record per line, consistent with the paper's
-    Fig. 3 configuration tokens in the summary field):
+    Record format (consistent with the paper's Fig. 3 configuration tokens
+    in the summary field):
 
     {v
     # craft-journal v1 <program-name-or-blank>
@@ -18,37 +19,30 @@
     v}
 
     e.g. [a91f...c2 trap:0x00001f:injected%20fault 17 | s MODULE: cg].
-    Parsing is tolerant: a malformed or truncated line (typically the last
-    one, half-written at the moment of the crash) is dropped, never fatal.
 
     Keys are {!Config.digest}s of {e effective} flags, so structurally
     different configurations with identical per-instruction decisions share
     one journal entry. *)
 
+type record = { digest : string; verdict : Harness.verdict; seq : int; summary : string }
+(** One line: the summary is narration, never read back into the memo. *)
+
+val codec : record Durable_log.codec
+
 type t
 
-type sync_policy =
-  | Flush_only
-      (** flush each record to the OS; physical write ordering is the
-          kernel's business (call {!sync} at wave boundaries for more) *)
-  | Fsync_each
-      (** flush {e and} [fsync(2)] each record: even a power loss can only
-          truncate the file at the record being written, never tear an
-          earlier one *)
-
-val create : ?resume:bool -> ?sync:sync_policy -> path:string -> Ir.program -> t
-(** Open [path] for appending, creating it if missing. With
+val create : ?resume:bool -> path:string -> Ir.program -> t
+(** Open [path] for appending ({!Durable_log.create}). With
     [resume = true] (default [false]) existing records are replayed into
-    the memo first; without it the file is truncated and the campaign
-    starts clean. [sync] (default {!Flush_only}) picks the durability
-    policy for each appended record. *)
+    the memo first; without it the file is replaced by an empty journal
+    and the campaign starts clean. Appends are flushed, never fsynced on their own: callers
+    {!sync} at wave boundaries. *)
 
 val sync : t -> unit
-(** Flush and [fsync(2)] the journal now — the per-wave durability point
-    for callers running under {!Flush_only}. *)
+(** Flush and [fsync(2)] the journal now: the per-wave durability point. *)
 
 val close : t -> unit
-(** Flush, fsync and close. *)
+(** Flush, fsync and close. Idempotent. *)
 
 val path : t -> string
 
@@ -70,23 +64,15 @@ val record : t -> Config.t -> Harness.verdict -> unit
 (** Memoize and append-flush one verdict. A digest already present is not
     re-appended. *)
 
-val wrap : t -> (Config.t -> Harness.verdict) -> Config.t -> Harness.verdict
-(** Memoized view of a classified evaluator: journal hit, or evaluate then
-    {!record}. *)
-
 val wrap_target : t -> harness:Harness.t -> Bfs.Target.t -> Bfs.Target.t
 (** The full resilient evaluation stack as a drop-in target: [eval]
     consults the journal, falls back to {!Harness.eval} (containment +
     retries), records the verdict, and folds to the search's boolean
     view. *)
 
-val load : path:string -> Ir.program -> (string * Harness.verdict) list
-(** Tolerantly parse a journal file into [(digest, verdict)] pairs, oldest
-    first, without opening it for writing. *)
-
 val scan : path:string -> (string * Harness.verdict) list
-(** {!load} without a program: the records carry their own configuration
-    digests, so read-only inspection ([craft journal]) needs no binary. *)
+(** The journal's [(digest, verdict)] pairs, oldest first, read-only: the
+    records carry their digests, so inspection needs no program. *)
 
 type verify_report = {
   records : int;  (** well-formed records *)
@@ -95,14 +81,9 @@ type verify_report = {
       (** digests appearing more than once, with their occurrence counts —
           a healthy journal has none ({!record} refuses duplicates) *)
   verdicts : (string * int) list;  (** verdict label -> record count *)
-  bad : int;  (** unparseable non-comment lines *)
+  bad : int;  (** as in {!Durable_log.damage} *)
   trailing_bad : int;
-      (** the contiguous unparseable suffix: the half-record an interrupted
-          writer legitimately leaves behind *)
-  torn : bool;
-      (** an unparseable line {e followed by} well-formed records — not
-          crash truncation but mid-file corruption; [craft journal --verify]
-          exits non-zero on it *)
+  torn : bool;  (** {!Durable_log.torn}; [craft journal --verify] exits 1 on it *)
 }
 
 val verify : path:string -> (verify_report, string) result

@@ -1,11 +1,5 @@
 type t = { fd : Unix.file_descr; path : string }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let path ~dir = Filename.concat dir "LOCK"
 
 (* The exclusion is the kernel's fcntl record lock, not the file's
@@ -13,7 +7,7 @@ let path ~dir = Filename.concat dir "LOCK"
    process, so stale locks reclaim themselves — the pid in the file is
    only for the refusal message. *)
 let acquire ~dir =
-  mkdir_p dir;
+  Durable_log.mkdir_p dir;
   let p = path ~dir in
   match Unix.openfile p [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_CLOEXEC ] 0o644 with
   | exception Unix.Unix_error (e, _, _) ->

@@ -60,10 +60,6 @@ let event t j fmt =
       t.echo (Printf.sprintf "%s: %s" j.id line))
     fmt
 
-let is_terminal = function
-  | Wire.Done | Wire.Cancelled | Wire.Failed _ | Wire.Quarantined _ -> true
-  | Wire.Queued | Wire.Running -> false
-
 (* Lock held. *)
 let status_of j =
   {
@@ -77,12 +73,6 @@ let status_of j =
   }
 
 (* ------------------------------------------------------------- campaigns *)
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
 
 (* Everything an evaluation verdict depends on besides the program and the
    candidate config: the step budget and the backend. Two jobs that differ
@@ -108,7 +98,6 @@ let run_campaign t j =
     | None -> (None, None)
     | Some root ->
         let dir = Filename.concat root j.id in
-        mkdir_p dir;
         let journal =
           Journal.create ~resume:resumed ~path:(Filename.concat dir "journal")
             k.Kernel.program
@@ -247,27 +236,9 @@ let pick_queued t =
 
 let result_path root id = Filename.concat (Filename.concat root id) "result"
 
-(* Write-temp/fsync/rename, like Checkpoint.save: the result file is always
-   either absent or a complete configuration. *)
-let write_result path text =
-  mkdir_p (Filename.dirname path);
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc text;
-  flush oc;
-  (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-  close_out oc;
-  Sys.rename tmp path
-
-let read_result path =
-  if not (Sys.file_exists path) then ""
-  else begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  end
+(* Atomic, like Checkpoint.save: the result file is always either absent
+   or a complete configuration. *)
+let write_result path text = Durable_log.replace ~path (fun oc -> output_string oc text)
 
 (* Lock held; [j.state] is terminal. Persist the outcome so a restarted
    daemon re-lists this job as finished instead of re-running it. *)
@@ -288,7 +259,7 @@ let finish_run t j state config_text summary =
       j.state <- state;
       j.config_text <- config_text;
       j.summary <- summary;
-      if is_terminal state then persist_outcome t j;
+      if Wal.is_terminal state then persist_outcome t j;
       (match state with
       | Wire.Done -> event t j "DONE %s" summary
       | Wire.Cancelled -> event t j "CANCELLED %s" summary
@@ -412,7 +383,7 @@ let recover t root wal_path =
               | Some (state, summary) ->
                   j.state <- state;
                   j.summary <- summary;
-                  j.config_text <- read_result (result_path root id);
+                  j.config_text <- Durable_log.read ~path:(result_path root id);
                   event t j "RECOVERED %s (daemon restarted on this state dir)"
                     (state_label state)
               | None ->
@@ -459,7 +430,6 @@ let create ?(options = default_options) ?(log = ignore) ?fleet ~resolve ~pool ~c
   (match opts.state_dir with
   | None -> ()
   | Some root ->
-      mkdir_p root;
       let wal_path = Filename.concat root "jobs.wal" in
       (* replay the previous life's job table before the writer reopens the
          WAL, and before any runner can race the recovered queue *)
@@ -549,14 +519,14 @@ let events t ~job ~from =
               List.filteri (fun i _ -> i >= from) (List.rev j.events_rev)
           in
           let next = max from j.n_events in
-          Ok (next, lines, is_terminal j.state && next >= j.n_events))
+          Ok (next, lines, Wal.is_terminal j.state && next >= j.n_events))
 
 let result t id =
   Mutex.protect t.lock (fun () ->
       match find t id with
       | None -> Error (Printf.sprintf "unknown job %S" id)
       | Some j ->
-          if is_terminal j.state then Ok (status_of j, j.config_text, j.summary)
+          if Wal.is_terminal j.state then Ok (status_of j, j.config_text, j.summary)
           else
             Error
               (Printf.sprintf "job %s is not finished (%s)" id

@@ -1,5 +1,3 @@
-let header = "# craft-store v1"
-
 type stats = {
   hits : int;
   misses : int;
@@ -12,6 +10,29 @@ type cell =
   | Done of Verdict.verdict
   | Pending  (** someone is computing it; wait on [changed] *)
 
+type record = { key : string; verdict : Verdict.verdict; seq : int }
+
+(* Keys are compound ([program_key/opts_digest/Config.digest]) so unlike
+   journal digests they are escaped. *)
+let codec =
+  {
+    Durable_log.header = "# craft-store v1";
+    encode =
+      (fun r ->
+        Printf.sprintf "%s %s %d" (Verdict.escape r.key) (Verdict.verdict_to_string r.verdict)
+          r.seq);
+    decode =
+      (fun line ->
+        match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+        | [ key; verdict; seq ] -> (
+            match
+              (Verdict.unescape key, Verdict.verdict_of_string verdict, int_of_string_opt seq)
+            with
+            | Some key, Some verdict, Some seq -> Some { key; verdict; seq }
+            | _ -> None)
+        | _ -> None);
+  }
+
 type t = {
   lock : Mutex.t;
   changed : Condition.t;  (* a Pending resolved (or was withdrawn) *)
@@ -20,80 +41,24 @@ type t = {
   mutable misses : int;
   mutable waits : int;
   replayed : int;
-  (* durable log; [None] keeps the store memory-only (tests, ad-hoc) *)
-  mutable log : out_channel option;
-  fsync_every : int;  (* 0 = never, 1 = per record, n = every n appends *)
-  mutable unsynced : int;
+  log : record Durable_log.t option;  (* [None] keeps the store memory-only *)
   mutable seq : int;
 }
 
-(* ------------------------------------------------------------ log format *)
-
-(* One record per line, mirroring the Journal's format and its tolerant
-   loader: [<escaped-key> <verdict-token> <seq>]. Keys are compound
-   ([program_key/opts_digest/Config.digest]) so unlike journal digests they
-   are escaped; like the journal, any line that does not parse — malformed,
-   or the truncated half-record a crash leaves at the end — is dropped,
-   never fatal. *)
-let parse_line line =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then None
-  else
-    match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-    | [ key; verdict; seq ] -> (
-        match
-          (Verdict.unescape key, Verdict.verdict_of_string verdict, int_of_string_opt seq)
-        with
-        | Some k, Some v, Some _ -> Some (k, v)
-        | _ -> None)
-    | _ -> None
-
-let read_records path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let records = ref [] in
-    (try
-       while true do
-         match parse_line (input_line ic) with
-         | Some r -> records := r :: !records
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !records
-  end
-
-let scan ~path = read_records path
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let fsync_oc oc =
-  try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
+let scan ~path =
+  List.map (fun r -> (r.key, r.verdict)) (fst (Durable_log.replay codec ~path))
 
 (* ------------------------------------------------------------- lifecycle *)
 
 let create ?path ?(fsync_every = 32) () =
   let table = Hashtbl.create 1024 in
-  let log, replayed, seq =
+  let log, seq =
     match path with
-    | None -> (None, 0, 0)
-    | Some p ->
-        let records = read_records p in
-        List.iter (fun (k, v) -> Hashtbl.replace table k (Done v)) records;
-        let fresh = not (Sys.file_exists p) in
-        mkdir_p (Filename.dirname p);
-        let oc = open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 p in
-        if fresh then begin
-          output_string oc (header ^ "\n");
-          flush oc;
-          fsync_oc oc
-        end;
-        (Some oc, Hashtbl.length table, List.length records)
+    | None -> (None, 0)
+    | Some path ->
+        let log, records = Durable_log.create ~fsync_every codec ~path in
+        List.iter (fun r -> Hashtbl.replace table r.key (Done r.verdict)) records;
+        (Some log, List.length records)
   in
   {
     lock = Mutex.create ();
@@ -102,50 +67,23 @@ let create ?path ?(fsync_every = 32) () =
     hits = 0;
     misses = 0;
     waits = 0;
-    replayed;
+    replayed = Hashtbl.length table;
     log;
-    fsync_every = max 0 fsync_every;
-    unsynced = 0;
     seq;
   }
 
 let key ~program_key ~opts_digest ~config_digest =
   String.concat "/" [ program_key; opts_digest; config_digest ]
 
-(* Lock held. Flush always (a crash loses at most this record); fsync per
-   the batching policy (a power loss loses at most the unsynced batch). *)
-let persist t key v =
+(* Lock held. *)
+let persist t key verdict =
   match t.log with
   | None -> ()
-  | Some oc ->
+  | Some log ->
       t.seq <- t.seq + 1;
-      Printf.fprintf oc "%s %s %d\n" (Verdict.escape key) (Verdict.verdict_to_string v)
-        t.seq;
-      flush oc;
-      t.unsynced <- t.unsynced + 1;
-      if t.fsync_every > 0 && t.unsynced >= t.fsync_every then begin
-        fsync_oc oc;
-        t.unsynced <- 0
-      end
+      Durable_log.append log { key; verdict; seq = t.seq }
 
-let sync t =
-  Mutex.protect t.lock (fun () ->
-      match t.log with
-      | None -> ()
-      | Some oc ->
-          flush oc;
-          fsync_oc oc;
-          t.unsynced <- 0)
-
-let close t =
-  Mutex.protect t.lock (fun () ->
-      match t.log with
-      | None -> ()
-      | Some oc ->
-          t.log <- None;
-          flush oc;
-          fsync_oc oc;
-          close_out oc)
+let close t = Option.iter Durable_log.close t.log
 
 let find_or_compute t ~key f =
   Mutex.lock t.lock;
@@ -189,32 +127,21 @@ let find_or_compute t ~key f =
 let compact ~path =
   if not (Sys.file_exists path) then Error (path ^ ": no such store log")
   else begin
-    let records = read_records path in
+    let records = fst (Durable_log.replay codec ~path) in
     let table = Hashtbl.create 1024 in
     let order = ref [] in
     List.iter
-      (fun (k, v) ->
-        if not (Hashtbl.mem table k) then order := k :: !order;
+      (fun r ->
+        if not (Hashtbl.mem table r.key) then order := r.key :: !order;
         (* last record wins, matching replay *)
-        Hashtbl.replace table k v)
+        Hashtbl.replace table r.key r.verdict)
       records;
-    let keys = List.rev !order in
-    let tmp = path ^ ".tmp" in
-    match
-      let oc = open_out tmp in
-      output_string oc (header ^ "\n");
-      List.iteri
-        (fun i k ->
-          Printf.fprintf oc "%s %s %d\n" (Verdict.escape k)
-            (Verdict.verdict_to_string (Hashtbl.find table k))
-            (i + 1))
-        keys;
-      flush oc;
-      fsync_oc oc;
-      close_out oc;
-      Sys.rename tmp path
-    with
-    | () -> Ok (List.length keys, List.length records - List.length keys)
+    let kept =
+      List.rev !order
+      |> List.mapi (fun i key -> { key; verdict = Hashtbl.find table key; seq = i + 1 })
+    in
+    match Durable_log.rewrite codec ~path kept with
+    | () -> Ok (List.length kept, List.length records - List.length kept)
     | exception Sys_error why -> Error why
   end
 

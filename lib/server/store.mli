@@ -21,15 +21,17 @@
     exactly once. The store is domain- and thread-safe.
 
     With [?path], the store is {e durable}: every fresh verdict is appended
-    to an on-disk log in the Journal's record style (one escaped-key line
-    per verdict, tolerant truncation-safe loader) and the log is replayed
-    into the table on {!create} — so a daemon SIGKILLed mid-campaign
-    restarts with every verdict it ever computed. Appends flush per record
-    and [fsync(2)] every [fsync_every] records (the write-batching policy);
-    {!sync} forces the batch out early, {!compact} rewrites a log grown by
-    duplicate-free appends across many daemon lifetimes. *)
+    to a {!Durable_log} (one escaped-key line per verdict,
+    [<key> <verdict-token> <seq>]) that {!create} replays into the table,
+    so a daemon SIGKILLed mid-campaign restarts with every verdict it ever
+    computed. {!compact} rewrites a log grown across many daemon
+    lifetimes. *)
 
 type t
+
+type record = { key : string; verdict : Verdict.verdict; seq : int }
+
+val codec : record Durable_log.codec
 
 type stats = {
   hits : int;  (** served without evaluating (includes in-flight waits) *)
@@ -40,10 +42,9 @@ type stats = {
 }
 
 val create : ?path:string -> ?fsync_every:int -> unit -> t
-(** Memory-only without [path]. With [path], replay the log (tolerantly:
-    unparseable lines, including a crash's trailing half-record, are
-    dropped) and append every fresh verdict to it. [fsync_every] (default
-    32) batches fsyncs: 1 syncs per record, 0 never syncs (flush only). *)
+(** Memory-only without [path]. With [path], replay the log and append
+    every fresh verdict to it. [fsync_every] (default 32) is the log's
+    fsync policy: 1 syncs per record, 0 never syncs (flush only). *)
 
 val key : program_key:string -> opts_digest:string -> config_digest:string -> string
 (** Compose the canonical store key. *)
@@ -56,23 +57,19 @@ val find_or_compute : t -> key:string -> (unit -> Verdict.verdict) -> Verdict.ve
     while we waited. If [f] raises, the pending entry is withdrawn (the
     next requester recomputes) and the exception propagates. *)
 
-val sync : t -> unit
-(** Flush and fsync the durable log now, resetting the batch counter.
-    No-op for a memory-only store. *)
-
 val close : t -> unit
-(** {!sync}, then close the log. The in-memory table keeps serving;
+(** Flush, fsync and close the log. The in-memory table keeps serving;
     further verdicts are no longer persisted. Idempotent. *)
 
 val scan : path:string -> (string * Verdict.verdict) list
-(** Tolerantly parse a store log into [(key, verdict)] pairs, oldest
-    first, without opening it for writing (inspection, tests). *)
+(** The log's [(key, verdict)] pairs, oldest first, read without opening
+    it for writing (inspection, tests). *)
 
 val compact : path:string -> (int * int, string) result
-(** Offline compaction: rewrite the log with one record per distinct key
-    (last verdict wins, matching replay) via write-temp/fsync/rename.
-    Returns [(kept, dropped)]. Run it on a daemon's state dir between
-    lifetimes, not while one is appending. *)
+(** Offline compaction: atomically rewrite the log with one record per
+    distinct key (last verdict wins, matching replay;
+    {!Durable_log.rewrite}). Returns [(kept, dropped)]. Run it on a
+    daemon's state dir between lifetimes, not while one is appending. *)
 
 val stats : t -> stats
 

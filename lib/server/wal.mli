@@ -2,15 +2,11 @@
 
     The durable {!Store} preserves {e verdicts} across a daemon death; this
     WAL preserves the {e job table}: every accepted submission and every
-    terminal outcome is appended (flushed + fsynced — lifecycle transitions
-    are rare next to evaluations) so a daemon restarted on the same
-    [--state-dir] re-lists every job it ever accepted, re-queues the ones
-    that never reached a terminal state, and serves the results of the ones
-    that did.
-
-    Format mirrors the Journal: a text header, one record per line, and a
-    tolerant loader that drops anything unparseable — including the
-    truncated half-record a [kill -9] can leave at the end.
+    terminal outcome is appended to a {!Durable_log} and fsynced
+    (lifecycle transitions are rare next to evaluations) so a daemon
+    restarted on the same [--state-dir] re-lists every job it ever
+    accepted, re-queues the ones that never reached a terminal state, and
+    serves the results of the ones that did.
 
     {v
     # craft-wal v1
@@ -27,21 +23,22 @@ type record =
   | Submitted of { id : string; spec : Wire.job_spec }
   | Outcome of { id : string; state : Wire.job_state; summary : string }
 
+val codec : record Durable_log.codec
+
 type t
 
 val create : path:string -> t
-(** Open [path] for appending, creating (with header) if missing. *)
-
-val path : t -> string
+(** Open [path] for appending ({!Durable_log.create}). *)
 
 val append : t -> record -> unit
 (** Append one record, flushed and fsynced before returning. Thread-safe. *)
 
 val close : t -> unit
+(** Idempotent. *)
 
 val load : path:string -> record list
-(** Tolerantly parse a WAL into records, oldest first, without opening it
-    for writing. Unparseable lines are dropped, never fatal. *)
+(** The WAL's records, oldest first, read without opening it for
+    writing. *)
 
 type entry = {
   spec : Wire.job_spec;
@@ -49,6 +46,9 @@ type entry = {
       (** terminal [(state, summary)], or [None] for a job the dead daemon
           never finished — the restart re-queues it *)
 }
+
+val is_terminal : Wire.job_state -> bool
+(** Done, cancelled, failed or quarantined: a state the job never leaves. *)
 
 val replay : record list -> (string * entry) list
 (** Fold records into the job table, in submission order. Duplicate
