@@ -287,6 +287,7 @@ let test_journal_roundtrip () =
       Journal.record j cfg1 Harness.Fail_verify;
       checki "entries" 3 (Journal.entries j);
       Journal.close j;
+      Journal.close j;
       let j2 = Journal.create ~resume:true ~path prog in
       checki "replayed" 3 (Journal.replayed j2);
       checkb "verdict survives" true (Journal.lookup j2 cfg1 = Some Harness.Pass);
