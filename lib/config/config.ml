@@ -41,8 +41,6 @@ let set_node t node f =
   | Block (label, _) -> set_block t label f
   | Insn { addr; _ } -> set_insn t addr f
 
-let of_nodes nodes f = List.fold_left (fun acc n -> set_node acc n f) empty nodes
-
 let union a b =
   let keep_left _ x _ = Some x in
   {

@@ -23,9 +23,6 @@ val of_format : Formats.t -> flag
 (** Normalize: binary32 maps to [Single], binary64 to [Double], anything
     else to [Fmt]. *)
 
-val format_of_flag : flag -> Formats.t option
-(** The execution format of a flag; [None] for [Ignore]. *)
-
 type t
 
 val empty : t
@@ -43,9 +40,6 @@ val set_insn : t -> int -> flag -> t
 
 val set_node : t -> Static.node -> flag -> t
 (** Attach a flag to a structure-tree node at the node's own level. *)
-
-val of_nodes : Static.node list -> flag -> t
-(** [of_nodes nodes f] flags each node [f] (everything else default). *)
 
 val union : t -> t -> t
 (** Merge two configurations; on conflicting entries the left one wins.

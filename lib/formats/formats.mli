@@ -49,9 +49,6 @@ val single : t
 val double : t
 (** IEEE binary64: e11m52. [round double] is the identity. *)
 
-val named : (string * t) list
-(** The built-in menu, cheapest first: bf16, f16, tf32, single, double. *)
-
 val round : t -> float -> float
 (** Round a double to the nearest value of the format (see module doc). *)
 

@@ -18,8 +18,6 @@ val flag_shifted : int64
 val is_replaced : float -> bool
 (** True iff the high 32 bits of the value's pattern equal {!flag}. *)
 
-val is_replaced_bits : int64 -> bool
-
 val encode : float -> float
 (** [encode x32] packs a value already representable in binary32 into the
     replaced encoding. The argument is rounded to binary32 first, so
@@ -32,10 +30,6 @@ val downcast : float -> float
 val upcast : float -> float
 (** Extract the binary32 value of a replaced double and widen it (exact).
     Raises [Invalid_argument] if the value is not replaced. *)
-
-val extract_bits : float -> int32
-(** Low 32 bits of the pattern (the binary32 bits), without checking the
-    flag. *)
 
 val coerce : float -> float
 (** [coerce v] is [upcast v] when [v] is replaced and [v] otherwise — the

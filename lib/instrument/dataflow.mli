@@ -31,8 +31,6 @@ type state =
   | Repl  (** definitely a replaced encoding *)
   | Either
 
-val join : state -> state -> state
-
 type t
 
 val analyze : Ir.program -> Config.t -> t

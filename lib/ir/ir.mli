@@ -130,10 +130,6 @@ val used_iregs : op -> int list
 val mnemonic : op -> string
 (** x86-flavoured mnemonic, e.g. ["addsd"], ["mulss"], ["cvtsi2sd"]. *)
 
-val pp_op : Format.formatter -> op -> unit
-(** Full disassembly of one instruction, e.g.
-    ["addsd f1, f2 -> f0"]. *)
-
 val disasm : op -> string
 
 val pp_program : Format.formatter -> program -> unit

@@ -114,10 +114,8 @@ let flibm op b x =
 
 let fsin b = flibm Ir.Sin b
 let fcos b = flibm Ir.Cos b
-let ftan b = flibm Ir.Tan b
 let fexp b = flibm Ir.Exp b
 let flog b = flibm Ir.Log b
-let fatan b = flibm Ir.Atan b
 
 let fcmp op b x y =
   let d = freshi b in
@@ -152,10 +150,8 @@ let imul b = ibin Ir.Imul b
 let idiv b = ibin Ir.Idiv b
 let irem b = ibin Ir.Irem b
 let iand b = ibin Ir.Iand b
-let ior b = ibin Ir.Ior b
 let ixor b = ibin Ir.Ixor b
 let ishl b = ibin Ir.Ishl b
-let ishr b = ibin Ir.Ishr b
 
 let iaddc b x c = iadd b x (iconst b c)
 let imulc b x c = imul b x (iconst b c)
@@ -166,7 +162,6 @@ let icmp op b x y =
   d
 
 let ieq b = icmp Ir.Eq b
-let ine b = icmp Ir.Ne b
 let ilt b = icmp Ir.Lt b
 let ile b = icmp Ir.Le b
 let igt b = icmp Ir.Gt b
@@ -393,6 +388,4 @@ let fbinp op b x y =
   d
 
 let faddp b = fbinp Ir.Add b
-let fsubp b = fbinp Ir.Sub b
 let fmulp b = fbinp Ir.Mul b
-let fdivp b = fbinp Ir.Div b

@@ -80,10 +80,8 @@ val fneg : fb -> fv -> fv
 val fabs : fb -> fv -> fv
 val fsin : fb -> fv -> fv
 val fcos : fb -> fv -> fv
-val ftan : fb -> fv -> fv
 val fexp : fb -> fv -> fv
 val flog : fb -> fv -> fv
-val fatan : fb -> fv -> fv
 
 val feq : fb -> fv -> fv -> iv
 val fne : fb -> fv -> fv -> iv
@@ -101,10 +99,8 @@ val imul : fb -> iv -> iv -> iv
 val idiv : fb -> iv -> iv -> iv
 val irem : fb -> iv -> iv -> iv
 val iand : fb -> iv -> iv -> iv
-val ior : fb -> iv -> iv -> iv
 val ixor : fb -> iv -> iv -> iv
 val ishl : fb -> iv -> iv -> iv
-val ishr : fb -> iv -> iv -> iv
 
 val iaddc : fb -> iv -> int -> iv
 (** [iaddc b x c] adds an immediate (emits the constant load + add). *)
@@ -112,7 +108,6 @@ val iaddc : fb -> iv -> int -> iv
 val imulc : fb -> iv -> int -> iv
 
 val ieq : fb -> iv -> iv -> iv
-val ine : fb -> iv -> iv -> iv
 val ilt : fb -> iv -> iv -> iv
 val ile : fb -> iv -> iv -> iv
 val igt : fb -> iv -> iv -> iv
@@ -190,6 +185,4 @@ val loadfp : fb -> addr -> fpair
 val storefp : fb -> addr -> fpair -> unit
 
 val faddp : fb -> fpair -> fpair -> fpair
-val fsubp : fb -> fpair -> fpair -> fpair
 val fmulp : fb -> fpair -> fpair -> fpair
-val fdivp : fb -> fpair -> fpair -> fpair

@@ -11,7 +11,4 @@
     pass individually but the composed union is fragile (bt.W fails
     final verification). *)
 
-type sizes = { lines : int; len : int; tol : float }
-
-val sizes : Kernel.class_ -> sizes
 val make : Kernel.class_ -> Kernel.t

@@ -9,7 +9,4 @@
     profile (high static replacement on cold code, very low dynamic
     replacement). *)
 
-type sizes = { n : int; extras : int; outer : int; inner : int; shift : float }
-
-val sizes : Kernel.class_ -> sizes
 val make : Kernel.class_ -> Kernel.t

@@ -11,9 +11,6 @@
     Outputs: [sx; sy; q0..q9] (Gaussian sums and annulus counts).
     Verification: sums within 1e-6 relative, counts exact. *)
 
-val pairs : Kernel.class_ -> int
-(** Number of random pairs per class. *)
-
 val randlc : float -> float -> float * float
 (** [randlc x a] is one step of the NAS-style floating-point LCG:
     [(next_state, uniform_in_0_1)]. Host reference, bit-identical to the

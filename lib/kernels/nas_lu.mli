@@ -10,7 +10,4 @@
     contracted — the paper's LU is the "mostly replaceable but fragile
     union" case (lu.W fails final verification, lu.A passes). *)
 
-type sizes = { n : int; sweeps : int; tol : float }
-
-val sizes : Kernel.class_ -> sizes
 val make : Kernel.class_ -> Kernel.t

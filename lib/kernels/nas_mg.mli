@@ -10,7 +10,4 @@
     fine-grid residual/smoothing arithmetic does not, at the verification
     tolerance used. *)
 
-type sizes = { n : int;  (** finest grid side, 2^k+1 *) cycles : int }
-
-val sizes : Kernel.class_ -> sizes
 val make : Kernel.class_ -> Kernel.t

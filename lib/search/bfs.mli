@@ -323,12 +323,8 @@ val drive : (module MACHINE) -> ?options:options -> Target.t -> result
     [every] waves and at the end, polls [stop] at wave boundaries, runs
     the machine's finish and builds the result. Raises only {!Aborted}. *)
 
-val force_flag : base:Config.t -> Config.flag -> Config.t -> Static.node -> Config.t
-(** [force_flag ~base flag cfg node] marks [node] with [flag] in [cfg] —
-    at the aggregate level when possible, expanded to instruction level
-    when the aggregate contains [Ignore]-flagged instructions (aggregate
-    flags override children, and user ignore-hints must survive). *)
-
 val force_single : base:Config.t -> Config.t -> Static.node -> Config.t
-(** [force_flag ~base Config.Single] — the pre-lattice entry point, kept
-    for callers that only ever speak binary32. *)
+(** [force_single ~base cfg node] marks [node] [Single] in [cfg] — at the
+    aggregate level when possible, expanded to instruction level when the
+    aggregate contains [Ignore]-flagged instructions (aggregate flags
+    override children, and user ignore-hints must survive). *)

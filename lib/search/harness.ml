@@ -14,7 +14,6 @@ let verdict_label = Verdict.verdict_label
 let verdict_to_string = Verdict.verdict_to_string
 let verdict_of_string = Verdict.verdict_of_string
 let pp_verdict = Verdict.pp_verdict
-let is_flaky = Verdict.is_flaky
 let classify = Verdict.classify
 
 type counters = {

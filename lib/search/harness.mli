@@ -51,16 +51,6 @@ val verdict_of_string : string -> verdict option
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val is_flaky : verdict -> bool
-(** True for {!Trapped}, {!Step_timeout} and {!Crashed} — the verdicts a
-    retry might change when faults are transient. *)
-
-val classify : (unit -> bool) -> verdict
-(** Run one evaluation thunk and classify its outcome. Total: maps
-    {!Vm.Trap}/{!Vm.Limit}/{!Vm.Deadline} to their verdicts and every
-    other exception (including [Stack_overflow] and [Out_of_memory]) to
-    {!Crashed}. *)
-
 type counters = {
   mutable evaluations : int;  (** calls to {!eval} *)
   mutable attempts : int;  (** underlying evaluator runs, retries included *)
@@ -104,10 +94,6 @@ val max_backoff_unit : int
 val eval : t -> Config.t -> verdict
 (** Total classified evaluation with retries. Never raises. *)
 
-val eval_bool : t -> Config.t -> bool
-(** [eval] folded back to the search's view: {!Pass} is [true], everything
-    else [false]. *)
-
 val counters : t -> counters
 
 val counters_list : t -> (string * int) list
@@ -128,8 +114,9 @@ val report : t -> string
 val wrap_target : ?retries:int -> ?backoff:int -> ?retry_fail_verify:bool ->
   Bfs.Target.t -> t * Bfs.Target.t
 (** Build a harness over the target's {!Bfs.Target.raw_eval} and return it
-    together with the same target whose [eval] is the harness's
-    {!eval_bool} — drop-in resilience (containment + retries + counters)
+    together with the same target whose [eval] is the harness's {!eval}
+    folded to a bool ({!Pass} is [true]) — drop-in resilience (containment
+    + retries + counters)
     for {!Bfs.search} and every [Strategy] campaign. The target's
     {!Bfs.Target.code_cache} (if any) is attached, so the harness report
     also carries the campaign's code-cache hit rate. *)

@@ -448,11 +448,3 @@ let report t =
     s.quarantined
     (if s.degraded then Printf.sprintf " — DEGRADED to serial (%d inline)" s.inline_runs
      else "")
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>tasks dispatched: %d (completed %d)@,deadline misses: %d (abandoned %d)@,\
-     worker deaths: %d (restarts %d)@,quarantined configurations: %d@,degraded: %b%s@]"
-    s.tasks s.completed s.deadline_misses s.abandoned s.worker_deaths s.restarts
-    s.quarantined s.degraded
-    (if s.inline_runs > 0 then Printf.sprintf " (%d inline)" s.inline_runs else "")

@@ -91,5 +91,3 @@ val drain_events : t -> string list
 
 val report : t -> string
 (** One-line supervisor summary for end-of-run reports. *)
-
-val pp_stats : Format.formatter -> stats -> unit

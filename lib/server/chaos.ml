@@ -19,11 +19,6 @@ type spec = {
 let default =
   { seed = 1; rate = 0.25; actions = [ Kill; Stall; Garbage; Dup ]; limit = 4; stall_for = 1.0 }
 
-let to_string s =
-  Printf.sprintf "seed=%d,rate=%g,actions=%s,limit=%d,stall=%g" s.seed s.rate
-    (String.concat "+" (List.map action_name s.actions))
-    s.limit s.stall_for
-
 let action_of_string = function
   | "kill" -> Ok Kill
   | "stall" -> Ok Stall
@@ -76,21 +71,10 @@ let parse text =
                 | _ -> Error (Printf.sprintf "unknown chaos field %S" k))))
     (Ok default) fields
 
-type t = {
-  spec : spec;
-  lock : Mutex.t;
-  mutable fired : int;
-  log : (action * string) list ref;  (* newest first, for reports *)
-}
+type t = { spec : spec; lock : Mutex.t; mutable fired : int }
 
-let create spec = { spec; lock = Mutex.create (); fired = 0; log = ref [] }
-let fired t = Mutex.protect t.lock (fun () -> t.fired)
+let create spec = { spec; lock = Mutex.create (); fired = 0 }
 let stall_for t = t.spec.stall_for
-
-let history t =
-  List.rev_map
-    (fun (a, key) -> Printf.sprintf "%s@%s" (action_name a) key)
-    (Mutex.protect t.lock (fun () -> !(t.log)))
 
 (* Same discipline as Vm.Faults: the decision for a given key is a pure
    function of (spec seed, key), so a campaign replays bit-for-bit. Only
@@ -107,6 +91,5 @@ let draw t ~key =
           if t.fired >= t.spec.limit then None
           else begin
             t.fired <- t.fired + 1;
-            t.log := (a, key) :: !(t.log);
             Some a
           end)

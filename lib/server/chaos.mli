@@ -39,16 +39,11 @@ type spec = {
   stall_for : float;  (** seconds a [Stall] holds its breath *)
 }
 
-val default : spec
-(** [seed=1, rate=0.25, actions=all four, limit=4, stall=1s]. *)
-
 val parse : string -> (spec, string) result
 (** Parse a CLI spec: comma-separated [seed=N], [rate=F],
     [actions=kill+stall+garbage+dup], [limit=N], [stall=F]. Omitted
-    fields keep their {!default}. *)
-
-val to_string : spec -> string
-(** Inverse of {!parse} (up to field order). *)
+    fields default to [seed=1, rate=0.25, actions=all four, limit=4,
+    stall=1s]. *)
 
 type t
 (** Injector state: the spec plus the spent-budget counter. *)
@@ -60,11 +55,5 @@ val draw : t -> key:string -> action option
     by [key] (worker name + lease id) faults, and with which action.
     Returns [None] once [limit] faults have fired. Thread-safe. *)
 
-val fired : t -> int
-(** Faults that actually fired so far. *)
-
 val stall_for : t -> float
 (** The spec's [stall_for], for the worker applying a [Stall]. *)
-
-val history : t -> string list
-(** Fired faults in order, ["action@key"], for reports and the bench. *)

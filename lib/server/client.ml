@@ -174,9 +174,6 @@ let events_x t ~job ~from =
   | Error f -> Error f
   | Ok _ -> Error (Remote "unexpected reply to events")
 
-let events t ~job ~from =
-  match events_x t ~job ~from with Ok r -> Ok r | Error f -> Error (failure_message f)
-
 (* Ride through a daemon restart: on [Lost], keep the cursor and the job
    id and retry until the daemon has been continuously unreachable for
    [rejoin] seconds. A recovered daemon knows the job (its WAL re-listed

@@ -4,7 +4,8 @@
     it is thread-safe (a mutex serialises frames on the wire). Every call
     is total — transport failures, server [Error_reply]s and protocol
     surprises all come back as [Error _] strings, never exceptions, so CLI
-    verbs and the bench can pattern-match their way to an exit code.
+    verbs and the campaign benchmark can pattern-match their way to an
+    exit code.
 
     Reconnects are retried with {e jittered} exponential backoff (so many
     clients whose daemon restarts do not stampede it in lockstep) and the
@@ -42,7 +43,6 @@ val submit : t -> Wire.job_spec -> (string, string) result
 (** Returns the job id. *)
 
 val status : ?job:string -> t -> (Wire.job_status list, string) result
-val events : t -> job:string -> from:int -> (int * string list * bool, string) result
 
 val watch :
   ?poll:float ->

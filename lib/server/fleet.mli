@@ -114,4 +114,4 @@ val live_workers : t -> int
 
 val stats : t -> stats
 val report : t -> string
-(** One-line counter summary for shutdown logs and the bench. *)
+(** One-line counter summary for shutdown logs. *)

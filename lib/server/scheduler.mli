@@ -70,8 +70,8 @@ val create :
     means each key reaches the fleet at most once, server-wide. *)
 
 val submit : t -> Wire.job_spec -> (string, string) result
-(** Queue a campaign; returns its job id. [Error] after {!drain} or
-    {!shutdown}, or when [resolve] rejects the spec outright. *)
+(** Queue a campaign; returns its job id. [Error] after {!shutdown}, or
+    when [resolve] rejects the spec outright. *)
 
 val status : t -> string option -> (Wire.job_status list, string) result
 (** One job's status, or every job's (submission order). *)
@@ -92,14 +92,12 @@ val cancel : t -> string -> bool
 
 val stats : t -> Wire.server_stats
 
-val drain : t -> unit
-(** Stop accepting submissions; queued and running jobs keep going. *)
-
 val wait_idle : t -> unit
 (** Block until no job is queued or running. *)
 
 val shutdown : t -> ?cancel_running:bool -> unit -> unit
-(** {!drain}, then stop the runners: with [cancel_running] (default
-    [false]) running jobs are stopped at their next wave boundary and any
-    queued jobs are cancelled; without it the runners finish every queued
-    and running job first. Joins the runner threads. Idempotent. *)
+(** Stop accepting submissions, then stop the runners: with
+    [cancel_running] (default [false]) running jobs are stopped at their
+    next wave boundary and any queued jobs are cancelled; without it the
+    runners finish every queued and running job first. Joins the runner
+    threads. Idempotent. *)

@@ -77,4 +77,4 @@ val hit_rate : stats -> float
 (** Hits over total lookups, in [0,1]; 0 before any lookup. *)
 
 val report : t -> string
-(** One-line summary for status output and the bench. *)
+(** One-line summary for the daemon's shutdown log. *)

@@ -10,8 +10,8 @@
     Decoding is {e total}: a hostile or truncated byte stream can never
     raise, only return a typed {!error}. [Need_more] is the streaming
     signal ("keep reading"); everything else is fatal for the connection.
-    A length prefix above {!max_frame} is rejected {e before} any
-    allocation, so a malicious 4-GiB length cannot balloon the server. *)
+    A length prefix above the 16 MiB frame bound is rejected {e before}
+    any allocation, so a malicious 4-GiB length cannot balloon the server. *)
 
 (** {1 Protocol data} *)
 
@@ -142,14 +142,8 @@ type frame =
 
 val version : int
 (** Current protocol version byte (2). Campaign frames still travel as
-    version 1 ({!min_version}); only the fleet frames require 2, so v1
-    peers interoperate on everything they understand. *)
-
-val min_version : int
-(** Oldest version byte {!decode} accepts (1). *)
-
-val max_frame : int
-(** Upper bound on one frame's payload size (16 MiB). *)
+    version 1, the oldest version {!decode} accepts; only the fleet frames
+    require 2, so v1 peers interoperate on everything they understand. *)
 
 type error =
   | Need_more of int
@@ -157,7 +151,7 @@ type error =
           bytes are needed (a lower bound, not a promise) *)
   | Bad_version of int  (** version byte of a complete, rejected frame *)
   | Bad_tag of int
-  | Oversized of int  (** announced payload length above {!max_frame} *)
+  | Oversized of int  (** announced payload length above 16 MiB *)
   | Malformed of string  (** structurally invalid payload *)
 
 val error_to_string : error -> string

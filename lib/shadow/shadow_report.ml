@@ -28,9 +28,6 @@ let default_threshold = 1e-8
 let make ?(threshold = default_threshold) ?(base = Config.empty) program tracer =
   { program; base; threshold; stats = Shadow_tracer.stats tracer }
 
-let threshold t = t.threshold
-let base t = t.base
-
 let stat_at t addr =
   if addr >= 0 && addr < Array.length t.stats then Some t.stats.(addr) else None
 
@@ -114,16 +111,6 @@ let predicted_nodes t =
     else List.fold_left walk acc (children node)
   in
   List.rev (List.fold_left walk [] (Static.tree t.program))
-
-(* The predicted configuration, expressed at instruction granularity so
-   [Ignore] hints in [base] keep their override-free meaning. *)
-let predicted t =
-  List.fold_left
-    (fun cfg node ->
-      List.fold_left
-        (fun cfg (i : Static.insn_info) -> Config.set_insn cfg i.addr Config.Single)
-        cfg (live_insns t node))
-    t.base (predicted_nodes t)
 
 (* Every structure node with live candidates, most tolerant first. *)
 let ranked t =

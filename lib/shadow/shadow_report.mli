@@ -3,19 +3,6 @@
     tree, a predicted configuration, and a ranked candidate list — the
     inputs the shadow-guided search mode ({!Bfs.shadow}) consumes. *)
 
-type node_stats = {
-  insns : int;  (** live candidate instructions (effective base ≠ Ignore) *)
-  observed : int;  (** of those, how many actually executed *)
-  execs : int;  (** total shadow value observations in the subtree *)
-  max_rel : float;  (** worst relative divergence over the subtree *)
-  mean_rel : float;  (** observation-weighted mean divergence *)
-  max_local : float;
-  max_mag : float;
-  cancels : int;
-  cancel_blowups : int;
-  flips : int;
-}
-
 type t
 
 val default_threshold : float
@@ -29,34 +16,17 @@ val make : ?threshold:float -> ?base:Config.t -> Ir.program -> Shadow_tracer.t -
     configuration (hint sets): candidates it flags [Ignore] are excluded
     from prediction, exactly as the search excludes them from flipping. *)
 
-val threshold : t -> float
-val base : t -> Config.t
-
 val max_rel_at : t -> int -> float
 (** Worst observed divergence of one instruction address (0 if never
     executed or out of range). *)
 
 val flips_at : t -> int -> int
 
-val divergence : t -> Static.insn_info list -> float
-(** Worst divergence over a set of instructions — the predicted error of
-    flipping exactly those to single. *)
-
-val has_flips : t -> Static.insn_info list -> bool
-
-val node_stats : t -> Static.node -> node_stats
-
-val node_predicted : t -> Static.node -> bool
-(** Every live candidate below threshold and no flips anywhere inside. *)
-
 val predicted_nodes : t -> Static.node list
-(** Maximal qualifying structures, in tree order. *)
-
-val predicted : t -> Config.t
-(** The predicted configuration: [base] plus every live candidate of every
-    predicted node flagged [Single] (instruction granularity, so [Ignore]
-    hints keep their meaning). The search {e verifies} this configuration
-    with a real evaluation before trusting it. *)
+(** Maximal structures whose every live candidate stays below the
+    threshold with no flips anywhere inside, in tree order: the predicted
+    configuration, which the search {e verifies} with a real evaluation
+    before trusting it. *)
 
 val ranked : t -> (Static.node * float) list
 (** Every structure with live candidates paired with its predicted

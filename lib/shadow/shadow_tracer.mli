@@ -80,7 +80,3 @@ val shadow_heap : t -> float array
 val observations : t -> int
 (** Total shadow value observations across all instructions. *)
 
-val rel : float -> float -> float
-(** [rel shadow actual]: the relative-divergence metric (0 iff bit-equal
-    modulo NaN; capped summation happens in the accumulators, not here).
-    Exposed for tests and the aggregator. *)

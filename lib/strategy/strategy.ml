@@ -11,8 +11,6 @@ let to_string = function
   | Anneal s when s = default_seed -> "anneal"
   | Anneal s -> Printf.sprintf "anneal:%d" s
 
-let known = [ "bfs"; "split"; "delta"; "anneal"; "anneal:<seed>" ]
-
 let of_string s =
   match String.trim (String.lowercase_ascii s) with
   | "" | "bfs" -> Ok Bfs

@@ -41,9 +41,6 @@ val of_string : string -> (token, string) result
 val to_string : token -> string
 (** Inverse of {!of_string} ([Anneal default_seed] prints ["anneal"]). *)
 
-val known : string list
-(** The canonical token spellings, for help strings. *)
-
 (** {1 Running} *)
 
 val run : ?options:Bfs.options -> token -> Bfs.Target.t -> Bfs.result

@@ -51,8 +51,6 @@ let uniform t =
   let v = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float v *. 0x1.0p-53
 
-let float t x = uniform t *. x
-
 let gaussian t =
   let rec draw () =
     let u = uniform t in

@@ -22,9 +22,6 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. *)
 
-val float : t -> float -> float
-(** [float t x] is uniform in [\[0, x)]. *)
-
 val uniform : t -> float
 (** Uniform in [\[0, 1)], 53-bit resolution. *)
 

@@ -70,12 +70,6 @@ let stats t =
   Mutex.unlock t.lock;
   s
 
-let reset_stats t =
-  Mutex.lock t.lock;
-  t.hits <- 0;
-  t.misses <- 0;
-  Mutex.unlock t.lock
-
 let report t =
   let s = stats t in
   Printf.sprintf "code cache: %d hits / %d misses (%.1f%% hit rate, %d compiled blocks)"

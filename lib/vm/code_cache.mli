@@ -29,9 +29,5 @@ val stats : ('w, 'v) t -> stats
 val hit_rate : stats -> float
 (** Hits over total lookups, in [0,1]; 0 when no lookups happened. *)
 
-val reset_stats : ('w, 'v) t -> unit
-(** Zero the hit/miss counters (compiled entries are kept). Used by the
-    bench to measure one campaign at a time on a shared cache. *)
-
 val report : ('w, 'v) t -> string
 (** One-line human-readable summary. *)

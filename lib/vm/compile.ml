@@ -1,7 +1,5 @@
 type backend = Interp | Compiled
 
-let backend_name = function Interp -> "interp" | Compiled -> "compiled"
-
 let backend_of_string = function
   | "interp" | "interpreter" -> Some Interp
   | "compiled" | "compile" -> Some Compiled
@@ -93,7 +91,6 @@ type cache = (witness, cblock) Code_cache.t
 
 let create_cache () : cache = Code_cache.create ()
 let stats = Code_cache.stats
-let reset_stats = Code_cache.reset_stats
 let report = Code_cache.report
 
 (* -------------------------------------------------------------- primitives *)

@@ -28,11 +28,8 @@
 
 type backend = Interp | Compiled
 
-val backend_name : backend -> string
-(** ["interp"] / ["compiled"]. *)
-
 val backend_of_string : string -> backend option
-(** Inverse of {!backend_name} (also accepts ["interpreter"], ["compile"]). *)
+(** ["interp"] / ["compiled"] (also accepts ["interpreter"], ["compile"]). *)
 
 type cache
 (** A {!Code_cache} of compiled blocks, shareable across every evaluation
@@ -41,7 +38,6 @@ type cache
 val create_cache : unit -> cache
 
 val stats : cache -> Code_cache.stats
-val reset_stats : cache -> unit
 val report : cache -> string
 
 val run : ?cache:cache -> Vm.t -> unit

@@ -69,12 +69,6 @@ let create spec = { spec; attempts = Hashtbl.create 64; armed = Hashtbl.create 1
 
 let injected t = Mutex.protect t.lock (fun () -> t.fired)
 
-let reset t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.reset t.attempts;
-      Hashtbl.reset t.armed;
-      t.fired <- 0)
-
 let fnv64 s =
   let h = ref 0xcbf29ce484222325L in
   String.iter

@@ -34,8 +34,6 @@ type spec = {
 val default : spec
 (** [seed=1, rate=0.2, modes=\[Trap; Hang\], transient]. *)
 
-val mode_name : mode -> string
-
 val parse : string -> (spec, string) result
 (** Parse a CLI spec: comma-separated [seed=N], [rate=F],
     [modes=trap+hang+bitflip+corrupt+crash], [transient], [persistent].
@@ -52,9 +50,6 @@ val create : spec -> t
 val injected : t -> int
 (** Faults that actually fired so far (a scheduled fault whose trigger
     point lies beyond the end of a short run never fires). *)
-
-val reset : t -> unit
-(** Forget attempt memory and counters (fresh campaign, same spec). *)
 
 val arm : t -> key:string -> Vm.t -> unit
 (** Decide deterministically whether the next run of [vm] — the evaluation

@@ -367,7 +367,6 @@ let get_f t slot = t.fheap.(slot)
 let get_f_value t slot = Replaced.coerce t.fheap.(slot)
 let set_f t slot v = t.fheap.(slot) <- v
 let get_i t slot = t.iheap.(slot)
-let set_i t slot v = t.iheap.(slot) <- v
 let write_f t base a = Array.blit a 0 t.fheap base (Array.length a)
 let write_i t base a = Array.blit a 0 t.iheap base (Array.length a)
 let read_f t base n = Array.init n (fun k -> get_f_value t (base + k))

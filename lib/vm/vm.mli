@@ -112,7 +112,6 @@ val get_f_value : t -> int -> float
 
 val set_f : t -> int -> float -> unit
 val get_i : t -> int -> int
-val set_i : t -> int -> int -> unit
 
 val write_f : t -> int -> float array -> unit
 (** Bulk-poke doubles into the float heap starting at a slot. *)

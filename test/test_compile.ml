@@ -358,15 +358,28 @@ let fuzz_target ~backend prog input =
           Float.abs (a -. b) /. scale < 1e-4)
         out reference)
 
+(* one harnessed BFS campaign per backend on a fuzz program and on cg.W and
+   mg.W (hints base): finals, evaluation counts and verdict counters agree *)
 let test_campaign_equivalence () =
-  let prog, input = Test_fuzz.random_program 31415 in
-  let search backend =
-    Bfs.search (fuzz_target ~backend prog input)
+  let campaign ~base target =
+    let h, target = Harness.wrap_target target in
+    let r = Bfs.search ~options:{ Bfs.default_options with base } target in
+    (r, Harness.counters_list h)
   in
-  let ri = search Compile.Interp and rc = search Compile.Compiled in
-  checkb "final configurations identical" true (compare ri.Bfs.final rc.Bfs.final = 0);
-  checki "same number of evaluations" ri.Bfs.tested rc.Bfs.tested;
-  checkb "same final verdict" true (ri.Bfs.final_pass = rc.Bfs.final_pass)
+  let same label ~base target_of =
+    let ri, ci = campaign ~base (target_of Compile.Interp) in
+    let rc, cc = campaign ~base (target_of Compile.Compiled) in
+    checkb (label ^ ": final configurations identical") true
+      (compare ri.Bfs.final rc.Bfs.final = 0);
+    checki (label ^ ": same number of evaluations") ri.Bfs.tested rc.Bfs.tested;
+    checkb (label ^ ": same final verdict") true (ri.Bfs.final_pass = rc.Bfs.final_pass);
+    Alcotest.(check (list (pair string int))) (label ^ ": same verdict counters") ci cc
+  in
+  let prog, input = Test_fuzz.random_program 31415 in
+  same "fuzz" ~base:Config.empty (fun backend -> fuzz_target ~backend prog input);
+  List.iter
+    (fun (k : Kernel.t) -> same k.name ~base:k.hints (fun backend -> Kernel.target ~backend k))
+    [ Nas_cg.make Kernel.W; Nas_mg.make Kernel.W ]
 
 let test_compiled_pool_deadline () =
   (* a compiled evaluation that runs far past the wall-clock deadline must

@@ -264,7 +264,7 @@ let test_names_and_menus () =
   | Error e -> checkb "error names the bad token" true (String.length e > 0)
   | Ok _ -> Alcotest.fail "menu accepted an unknown token");
   checkb "empty menu rejected" true (Result.is_error (Formats.menu_of_string " , ,"));
-  (* widths and the bench's bits-saved metric *)
+  (* widths and the search's bits-saved metric *)
   checki "half width" 16 (Formats.width Formats.half);
   checki "bf16 width" 16 (Formats.width Formats.bfloat16);
   checki "tf32 width" 19 (Formats.width Formats.tf32);
@@ -434,32 +434,72 @@ let test_differential_per_format () =
     [ Formats.bfloat16; Formats.half; Formats.tf32; Formats.single ]
 
 let test_differential_kernel_lattice () =
-  let k = Nas_cg.make Kernel.W in
   List.iter
-    (fun f ->
-      let patched = Patcher.patch k.Kernel.program (all_flag_cfg (Config.of_format f) k.Kernel.program) in
+    (fun (k : Kernel.t) ->
+      List.iter
+        (fun f ->
+          let patched =
+            Patcher.patch k.Kernel.program (all_flag_cfg (Config.of_format f) k.Kernel.program)
+          in
+          Test_compile.differential ~checked:true ~setup:k.Kernel.setup
+            (k.Kernel.name ^ "/all-" ^ Formats.name f)
+            patched)
+        [ Formats.bfloat16; Formats.half; Formats.tf32 ];
+      (* mixed lattice config: alternate bf16 / f16 / single per candidate *)
+      let i = ref 0 in
+      let mixed =
+        Array.fold_left
+          (fun acc (info : Static.insn_info) ->
+            incr i;
+            let flag =
+              match !i mod 3 with
+              | 0 -> Config.of_format Formats.bfloat16
+              | 1 -> Config.of_format Formats.half
+              | _ -> Config.Single
+            in
+            Config.set_insn acc info.Static.addr flag)
+          Config.empty
+          (Static.candidates k.Kernel.program)
+      in
       Test_compile.differential ~checked:true ~setup:k.Kernel.setup
-        ("cg.W/all-" ^ Formats.name f)
-        patched)
-    [ Formats.bfloat16; Formats.half; Formats.tf32 ];
-  (* mixed lattice config: alternate bf16 / f16 / single per candidate *)
-  let i = ref 0 in
-  let mixed =
-    Array.fold_left
-      (fun acc (info : Static.insn_info) ->
-        incr i;
-        let flag =
-          match !i mod 3 with
-          | 0 -> Config.of_format Formats.bfloat16
-          | 1 -> Config.of_format Formats.half
-          | _ -> Config.Single
-        in
-        Config.set_insn acc info.Static.addr flag)
-      Config.empty
-      (Static.candidates k.Kernel.program)
-  in
-  Test_compile.differential ~checked:true ~setup:k.Kernel.setup "cg.W/mixed-lattice"
-    (Patcher.patch k.Kernel.program mixed)
+        (k.Kernel.name ^ "/mixed-lattice")
+        (Patcher.patch k.Kernel.program mixed))
+    [ Nas_cg.make Kernel.W; Nas_mg.make Kernel.W ]
+
+(* the lattice on NAS kernels (second phase on): a single,double menu is the
+   single-only search, final for final, and the full bf16,f16,single,double
+   menu saves strictly more bits with a verified final. The pins (bits of
+   both menus, full-menu evaluations and census) are the numbers
+   EXPERIMENTS.md quotes. *)
+let test_menus_on_kernels () =
+  List.iter
+    (fun ((k : Kernel.t), (single_bits, full_bits, full_evals, census)) ->
+      let search formats =
+        Bfs.search
+          ~options:{ Bfs.default_options with second_phase = true; formats }
+          (Kernel.target k)
+      in
+      let single = search [ Formats.single ] in
+      let restricted = search [ Formats.single; Formats.double ] in
+      let full = search [ Formats.bfloat16; Formats.half; Formats.single; Formats.double ] in
+      let digest (r : Bfs.result) = Config.digest k.Kernel.program r.Bfs.final in
+      checks (k.Kernel.name ^ ": single,double menu reproduces single") (digest single)
+        (digest restricted);
+      checkb (k.Kernel.name ^ ": single final passes") true single.Bfs.final_pass;
+      checkb (k.Kernel.name ^ ": full-menu final passes") true full.Bfs.final_pass;
+      if full.Bfs.bits_saved <= single.Bfs.bits_saved then
+        Alcotest.failf "%s: full menu saved %d bits, single alone %d" k.Kernel.name
+          full.Bfs.bits_saved single.Bfs.bits_saved;
+      checki (k.Kernel.name ^ ": single bits") single_bits single.Bfs.bits_saved;
+      checki (k.Kernel.name ^ ": full-menu bits") full_bits full.Bfs.bits_saved;
+      checki (k.Kernel.name ^ ": full-menu evaluations") full_evals full.Bfs.tested;
+      Alcotest.(check (list (pair string int)))
+        (k.Kernel.name ^ ": full-menu census") census
+        (Config.format_census k.Kernel.program full.Bfs.final))
+    [
+      (Nas_cg.make Kernel.W, (576, 864, 53, [ ("bf16", 18); ("double", 17) ]));
+      (Nas_mg.make Kernel.W, (480, 608, 104, [ ("bf16", 8); ("double", 25); ("single", 7) ]));
+    ]
 
 (* -------------------------------------------------------- shadow formats *)
 
@@ -584,7 +624,8 @@ let suite =
     ("formats: pre-lattice digests byte-identical", `Quick, test_digest_compat);
     ("formats: exchange text round-trip and rejection", `Quick, test_exchange_text);
     ("formats: interp = compiled on fuzz programs per format", `Quick, test_differential_per_format);
-    ("formats: interp = compiled on cg.W lattice configs", `Quick, test_differential_kernel_lattice);
+    ("formats: interp = compiled on cg.W and mg.W lattice configs", `Quick, test_differential_kernel_lattice);
+    ("formats: menus on cg.W and mg.W", `Quick, test_menus_on_kernels);
     ("formats: shadow carries reduced-format shadows", `Quick, test_shadow_format);
     ("formats: checkpoint flagged ids replay old ids", `Quick, test_checkpoint_flagged_ids);
     ("formats: pre-lattice journal replays cleanly", `Quick, test_journal_replay_compat);

@@ -1,5 +1,6 @@
 (* Shadow-value precision analysis: hook composition, tracer soundness,
-   prediction/pruning soundness against the real search. *)
+   prediction/pruning soundness against the real search, and the
+   evaluations guidance saves on NAS CG and MG. *)
 
 let n_slots = 8
 
@@ -184,6 +185,41 @@ let test_prune_soundness () =
   Alcotest.(check bool) "guided evaluates strictly less" true
     (guided.Bfs.tested < plain.Bfs.tested)
 
+(* --- evaluation savings on NAS kernels ------------------------------- *)
+
+(* hints base, default threshold, prune_above 0.1: shadow-guided BFS tests
+   at most 70% of the unguided campaign's configurations and ends on the
+   same final. The (unguided, guided, pruned) pins are the numbers
+   EXPERIMENTS.md quotes. *)
+let test_nas_savings () =
+  List.iter
+    (fun ((k : Kernel.t), (plain_n, guided_n, pruned_n)) ->
+      let prog = k.Kernel.program in
+      let tracer =
+        Shadow_tracer.create ~config:(Shadow_tracer.all_single ~base:k.Kernel.hints prog) prog
+      in
+      let (_ : Vm.t) = Shadow_tracer.trace tracer ~setup:k.Kernel.setup in
+      let report = Shadow_report.make ~base:k.Kernel.hints prog tracer in
+      let search shadow =
+        Bfs.search
+          ~options:{ Bfs.default_options with base = k.Kernel.hints; shadow }
+          (Kernel.target k)
+      in
+      let plain = search None in
+      let guided = search (Some (Bfs.shadow ~prune_above:0.1 report)) in
+      if guided.Bfs.tested * 10 > plain.Bfs.tested * 7 then
+        Alcotest.failf "%s: guided BFS tested %d, unguided %d (want at most 70%%)"
+          k.Kernel.name guided.Bfs.tested plain.Bfs.tested;
+      Alcotest.(check string)
+        (k.Kernel.name ^ ": same final")
+        (Config.digest prog plain.Bfs.final)
+        (Config.digest prog guided.Bfs.final);
+      Alcotest.(check (list int))
+        (k.Kernel.name ^ ": unguided, guided, pruned")
+        [ plain_n; guided_n; pruned_n ]
+        [ plain.Bfs.tested; guided.Bfs.tested; guided.Bfs.pruned ])
+    [ (Nas_cg.make Kernel.W, (45, 27, 6)); (Nas_mg.make Kernel.W, (46, 32, 0)) ]
+
 (* --- verdict plumbing ------------------------------------------------ *)
 
 let test_pruned_verdict_roundtrip () =
@@ -206,5 +242,6 @@ let suite =
     ("double-configured shadow: zero divergence", `Quick, test_double_zero_divergence);
     ("shadow heap matches converted-single run", `Quick, test_shadow_matches_converted);
     ("pruning never skips a passing configuration", `Quick, test_prune_soundness);
+    ("guidance saves evaluations on cg.W and mg.W", `Quick, test_nas_savings);
     ("Pruned verdict round-trips", `Quick, test_pruned_verdict_roundtrip);
   ]

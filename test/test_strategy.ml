@@ -4,7 +4,8 @@
    on known-answer synthetics, anneal fixed-seed determinism across the
    sequential and pool evaluation paths, and strategy-tagged checkpoint
    compatibility — untagged pre-strategy snapshots load and resume as
-   bfs, tagged snapshots refuse to resume under a different strategy.
+   bfs, tagged snapshots refuse to resume under a different strategy —
+   and the NAS bake-off: no strategy saves fewer bits than BFS.
    [strategies_suite] holds the delta-debugging and greedy-sweep
    known answers. Byte-for-byte fidelity of every strategy to the
    two-driver recording is the replay suite's job (test_replay.ml). *)
@@ -332,6 +333,39 @@ let test_bfs_resumes_untagged_snapshot_via_strategy_run () =
       checkb "no refusal narrated" false
         (List.exists (fun l -> contains l "not resumed") r2.Bfs.log))
 
+(* ------------------------------------------------ bake-off on NAS kernels *)
+
+(* compiled backend, second phase on, hints base: every strategy's final
+   passes, re-verified by one more evaluation, and saves at least as many
+   bits as BFS's. The (evaluations, bits saved) pins are the numbers
+   EXPERIMENTS.md quotes for the bake-off. *)
+let test_no_worse_than_bfs () =
+  let strategies =
+    [ Strategy.Bfs; Strategy.Split; Strategy.Delta; Strategy.Anneal Strategy.default_seed ]
+  in
+  List.iter
+    (fun ((k : Kernel.t), pins) ->
+      let options = { Bfs.default_options with second_phase = true; base = k.Kernel.hints } in
+      let target = Kernel.target ~backend:Compile.Compiled k in
+      let results = List.map (fun tok -> (tok, Strategy.run ~options tok target)) strategies in
+      let bfs = List.assoc Strategy.Bfs results in
+      List.iter2
+        (fun (tok, (r : Bfs.result)) (evals, bits) ->
+          let label = k.Kernel.name ^ "/" ^ Strategy.to_string tok in
+          checkb (label ^ ": final passes") true
+            (r.Bfs.final_pass && target.Bfs.Target.eval r.Bfs.final);
+          if r.Bfs.bits_saved < bfs.Bfs.bits_saved then
+            Alcotest.failf "%s: saved %d bits, BFS saved %d" label r.Bfs.bits_saved
+              bfs.Bfs.bits_saved;
+          checki (label ^ ": evaluations") evals r.Bfs.tested;
+          checki (label ^ ": bits saved") bits r.Bfs.bits_saved)
+        results pins)
+    [
+      (Nas_cg.make Kernel.W, [ (45, 576); (75, 576); (132, 576); (96, 576) ]);
+      (Nas_mg.make Kernel.W, [ (67, 480); (105, 544); (144, 864); (103, 864) ]);
+      (Nas_ep.make Kernel.W, [ (10, 800); (17, 800); (18, 800); (46, 800) ]);
+    ]
+
 let suite =
   [
     ("strategy: token parse/print", `Quick, test_tokens);
@@ -344,6 +378,7 @@ let suite =
     ("strategy: bfs snapshots stay untagged", `Quick, test_bfs_snapshots_stay_untagged);
     ("strategy: tagged snapshot refuses other strategies", `Quick, test_tagged_snapshot_refuses_other_strategy);
     ("strategy: bfs resumes untagged snapshots", `Quick, test_bfs_resumes_untagged_snapshot_via_strategy_run);
+    ("strategy: no strategy saves fewer bits than BFS", `Quick, test_no_worse_than_bfs);
   ]
 
 let strategies_suite =
