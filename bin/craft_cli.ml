@@ -193,16 +193,6 @@ let deadline_arg =
            top of the VM step budget. A late evaluation is first cancelled cooperatively \
            (classified as a timeout); a worker that stays hung is abandoned and replaced.")
 
-let checkpoint_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"FILE"
-        ~doc:
-          "Atomically snapshot the live BFS state (work queue, passing set, counters) to \
-           $(docv) at every wave boundary. With $(b,--resume), restore from it and \
-           restart mid-level instead of replaying the whole journal.")
-
 let quarantine_arg =
   Arg.(
     value & opt int 2
@@ -285,13 +275,13 @@ let parse_formats_menu s =
 
 let search_cmd =
   let run name cls workers out strategy journal_path resume retries eval_steps inject
-      deadline checkpoint_path quarantine_after use_shadow shadow_threshold shadow_prune
+      deadline quarantine_after use_shadow shadow_threshold shadow_prune
       backend_name cache_stats formats_menu =
     with_kernel name cls (fun k ->
         let formats = parse_formats_menu formats_menu in
         let strategy = or_die (Strategy.of_string strategy) in
-        if resume && journal_path = None && checkpoint_path = None then begin
-          prerr_endline "craft: --resume requires --journal FILE or --checkpoint FILE";
+        if resume && journal_path = None then begin
+          prerr_endline "craft: --resume requires --journal FILE";
           exit 1
         end;
         let faults =
@@ -363,17 +353,8 @@ let search_cmd =
                  ())
           else None
         in
-        let checkpoint =
-          Option.map
-            (fun path ->
-              Bfs.checkpoint ~resume
-                ~save_counters:(fun () -> Harness.counters_list harness)
-                ~restore_counters:(Harness.restore_counters harness) path)
-            checkpoint_path
-        in
-        (* first ^C asks the search to stop at the next wave boundary (final
-           checkpoint flushed, partial result composed); a second ^C aborts
-           outright *)
+        (* first ^C asks the search to stop at the next wave boundary (partial
+           result composed); a second ^C aborts outright *)
         let interrupt = Atomic.make false in
         let prev_sigint =
           Sys.signal Sys.sigint
@@ -383,8 +364,8 @@ let search_cmd =
                  else begin
                    Atomic.set interrupt true;
                    prerr_endline
-                     "craft: SIGINT — finishing the current wave, flushing a final \
-                      checkpoint, composing the partial result (^C again to abort)"
+                     "craft: SIGINT — finishing the current wave, composing the partial \
+                      result (^C again to abort)"
                  end))
         in
         let options =
@@ -393,7 +374,6 @@ let search_cmd =
             workers;
             base = k.Kernel.hints;
             pool;
-            checkpoint;
             shadow = shadow_opts;
             formats;
             stop = (fun () -> Atomic.get interrupt);
@@ -410,7 +390,7 @@ let search_cmd =
         if r.Bfs.interrupted then
           Format.printf
             "search INTERRUPTED — the report below is the partial result (union of \
-             the structures that had passed); resume with --checkpoint/--resume@.";
+             the structures that had passed); rerun with --journal/--resume to continue@.";
         let text, tree =
           match recommendation with
           | Some rec_ ->
@@ -448,9 +428,6 @@ let search_cmd =
             Format.printf "supervisor: %s@." (Pool.report p);
             Pool.shutdown p
         | None -> ());
-        (match checkpoint_path with
-        | Some path -> Format.printf "checkpoint %s: %d snapshot(s) written@." path r.Bfs.snapshots
-        | None -> ());
         (match faults with
         | Some inj -> Format.printf "injected faults fired: %d@." (Faults.injected inj)
         | None -> ());
@@ -468,7 +445,7 @@ let search_cmd =
     Term.(
       const run $ bench_arg $ class_arg $ workers_arg $ out_arg $ strategy_arg $ journal_arg
       $ resume_arg $ retries_arg $ eval_steps_arg $ inject_arg $ deadline_arg
-      $ checkpoint_arg $ quarantine_arg $ shadow_flag $ shadow_threshold_arg
+      $ quarantine_arg $ shadow_flag $ shadow_threshold_arg
       $ shadow_prune_arg $ backend_arg $ cache_stats_flag $ formats_arg)
 
 let shadow_cmd =
@@ -784,9 +761,10 @@ let serve_cmd =
       & info [ "state-dir" ] ~docv:"DIR"
           ~doc:
             "Root for the durable state that survives a daemon death: the cross-campaign \
-             store log, the job-table WAL, and per-job journal/checkpoint/result files. A \
-             restarted daemon replays them; an exclusive lock refuses a second live \
-             daemon. Empty string disables persistence.")
+             store log, the job-table WAL, and per-job journal/result files. A restarted \
+             daemon replays the store and the WAL and re-runs unfinished jobs against the \
+             store; an exclusive lock refuses a second live daemon. Empty string disables \
+             persistence.")
   in
   let store_fsync_arg =
     Arg.(
@@ -1099,7 +1077,7 @@ let cancel_cmd =
     (Cmd.info "cancel"
        ~doc:
          "Cancel a job: dequeued if still queued, stopped at the next wave boundary (with \
-          a final checkpoint and partial result) if running")
+          its partial result) if running")
     Term.(const run $ socket_arg $ tcp_arg $ job_arg)
 
 let main =

@@ -76,7 +76,7 @@ let flag_of_char = function
   | 'i' -> Some Ignore
   | _ -> None
 
-(* Canonical flag token for exchange texts, digests and checkpoints: the
+(* Canonical flag token for exchange texts and digests: the
    historical one-character flags for the three base decisions, and the
    format's ["e<E>m<M>"] token for lattice formats — lowercase, so it can
    never be mistaken for the uppercase structure keywords. *)
@@ -257,7 +257,7 @@ let parse (p : Ir.program) text =
    that resolve to the same per-instruction decisions share a digest — exactly
    the equivalence the evaluation memoizer needs. The flag contributes its
    token bytes: one byte for s/d/i, so every pre-lattice digest (and with it
-   every old journal, checkpoint and store log) is unchanged. *)
+   every old journal and store log) is unchanged. *)
 let digest (p : Ir.program) t =
   let h = ref 0xcbf29ce484222325L in
   let mix c = h := Int64.mul (Int64.logxor !h (Int64.of_int c)) 0x100000001b3L in

@@ -85,7 +85,7 @@ val compare_cost : t -> t -> int
 
 val token : t -> string
 (** Canonical machine token, ["e<E>m<M>"] (e.g. ["e5m10"]). Stable: used in
-    config exchange texts, digests and checkpoints. *)
+    config exchange texts and digests. *)
 
 val name : t -> string
 (** Friendly name when the format is a named instance (["f16"], ["bf16"],

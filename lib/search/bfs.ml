@@ -55,18 +55,6 @@ end
 
 type granularity = Module_level | Func_level | Block_level | Insn_level
 
-type checkpoint_opts = {
-  path : string;
-  every : int;
-  resume : bool;
-  save_counters : unit -> (string * int) list;
-  restore_counters : (string * int) list -> unit;
-}
-
-let checkpoint ?(every = 1) ?(resume = false) ?(save_counters = fun () -> [])
-    ?(restore_counters = ignore) path =
-  { path; every = max 1 every; resume; save_counters; restore_counters }
-
 type shadow_opts = {
   report : Shadow_report.t;
   seed_predicted : bool;
@@ -88,7 +76,6 @@ type options = {
   second_phase : bool;
   base : Config.t;
   pool : Pool.t option;
-  checkpoint : checkpoint_opts option;
   shadow : shadow_opts option;
   formats : Formats.t list;
   stop : unit -> bool;
@@ -104,7 +91,6 @@ let default_options =
     second_phase = false;
     base = Config.empty;
     pool = None;
-    checkpoint = None;
     shadow = None;
     formats = [ Formats.single ];
     stop = (fun () -> false);
@@ -123,7 +109,6 @@ type result = {
   bits_saved : int;
   log : string list;
   supervisor : Pool.stats option;
-  snapshots : int;
   pruned : int;
   interrupted : bool;
 }
@@ -171,12 +156,6 @@ type ctx = {
   entry : Formats.t;
 }
 
-type resume = {
-  next_seq : int;
-  queue : (Checkpoint.entry * Static.node list) list;
-  passing : flagged;
-}
-
 type wave = { configs : Config.t list; pruned : int; notes : string list }
 type finish = Structures | Instructions
 
@@ -185,11 +164,10 @@ module type MACHINE = sig
 
   val name : string
   val finish : finish
-  val init : ctx -> eval:(Config.t -> Verdict.verdict) -> resume option -> state * string list
+  val init : ctx -> eval:(Config.t -> Verdict.verdict) -> state * string list
   val propose : ctx -> state -> wave option * state
   val consume : ctx -> state -> Verdict.verdict list -> state * string list
   val flagged : ctx -> state -> flagged
-  val frontier : state -> int * Checkpoint.entry list
   val interrupt : state -> string option
 end
 
@@ -215,7 +193,7 @@ let union ctx flags =
 
 (* The paper's breadth-first structural descent as a wave machine. Its
    state is the work queue, the passing set and the item sequence
-   counter — exactly what its checkpoints persist. *)
+   counter. *)
 module Breadth_first = struct
   let name = "bfs"
   let finish = Structures
@@ -312,7 +290,7 @@ module Breadth_first = struct
 
   let cfg_of_nodes ctx nodes = union ctx (List.map (fun n -> (n, entry_flag ctx)) nodes)
 
-  let init ctx ~eval (resume : resume option) =
+  let init ctx ~eval =
     let program = ctx.target.program in
     let empty = { queue = []; inflight = []; passing = []; seq = 0 } in
     (* one configuration per module *)
@@ -322,23 +300,8 @@ module Breadth_first = struct
            (fun node -> if live_insns ctx node <> [] then Some [ node ] else None)
            (Static.tree program))
     in
-    match (resume, ctx.options.shadow) with
-    | Some r, _ ->
-        ( {
-            (* reverse file order: a snapshot written before the next pop
-               then matches earlier versions' byte for byte; pop_batch sorts
-               the queue totally, so nothing else depends on the order *)
-            queue =
-              List.rev_map
-                (fun ((e : Checkpoint.entry), nodes) ->
-                  { nodes; weight = e.weight; seq = e.seq; score = score ctx nodes })
-                r.queue;
-            inflight = [];
-            passing = List.rev r.passing;
-            seq = r.next_seq;
-          },
-          [] )
-    | None, Some s when s.seed_predicted -> (
+    match ctx.options.shadow with
+    | Some s when s.seed_predicted -> (
         (* Shadow seeding: evaluate the predicted configuration once. If it
            passes, its structures enter the passing set immediately and only
            the unpredicted remainder of the tree is queued; if it fails, the
@@ -389,7 +352,7 @@ module Breadth_first = struct
                     Printf.sprintf "SHADOW seed: predicted configuration %s — seeding normally"
                       (Verdict.verdict_label v);
                   ] )))
-    | None, _ -> (seed_default (), [])
+    | _ -> (seed_default (), [])
 
   let names it = String.concat " + " (List.map Static.node_name it.nodes)
 
@@ -453,13 +416,6 @@ module Breadth_first = struct
 
   let flagged _ st = List.rev st.passing
 
-  let frontier st =
-    ( st.seq,
-      List.map
-        (fun (it : item) ->
-          { Checkpoint.seq = it.seq; weight = it.weight; nodes = List.map Checkpoint.node_id it.nodes })
-        st.queue )
-
   let interrupt st =
     match st.queue with
     | [] -> None
@@ -497,7 +453,6 @@ let drive (module M : MACHINE) ?(options = default_options) (target : Target.t) 
   let says lines = List.iter (fun s -> log := s :: !log) lines in
   let say fmt = Format.kasprintf (fun s -> says [ s ]) fmt in
   let tested = ref 0 in
-  let snapshots = ref 0 in
   let pruned = ref 0 in
   (* The worker pool supervises every evaluation. A caller-supplied pool
      is reused (and left running); otherwise a transient one is staffed
@@ -534,83 +489,10 @@ let drive (module M : MACHINE) ?(options = default_options) (target : Target.t) 
   in
   let eval cfg = List.hd (eval_wave [ cfg ]) in
   let passes cfg = eval cfg = Verdict.Pass in
-  (* ----------------------------------------------------------- checkpoint *)
-  let key = Checkpoint.program_key program in
-  let save st passing =
-    match options.checkpoint with
-    | None -> ()
-    | Some ck ->
-        let next_seq, queue = M.frontier st in
-        Checkpoint.save ~path:ck.path
-          {
-            Checkpoint.key;
-            tested = !tested;
-            next_seq;
-            queue;
-            passing = List.map Checkpoint.flagged_id passing;
-            counters = ck.save_counters ();
-            log = List.rev !log;
-            strategy = M.name;
-          };
-        incr snapshots
-  in
-  let rec all f = function
-    | [] -> Ok []
-    | x :: rest -> Result.bind (f x) (fun y -> Result.map (List.cons y) (all f rest))
-  in
-  let resume () =
-    match options.checkpoint with
-    | Some ck when ck.resume -> (
-        let refuse msg =
-          say "CHECKPOINT not resumed: %s" msg;
-          None
-        in
-        match Checkpoint.load ~path:ck.path with
-        | Error msg -> refuse msg
-        | Ok snap when snap.key <> key ->
-            refuse ("written by a different program (key " ^ snap.key ^ ")")
-        | Ok snap when snap.strategy <> M.name -> refuse ("written by strategy " ^ snap.strategy)
-        | Ok snap -> (
-            let queue =
-              all
-                (fun (e : Checkpoint.entry) ->
-                  Result.map (fun nodes -> (e, nodes)) (all (Checkpoint.resolve program) e.nodes))
-                snap.queue
-            in
-            (* an instruction-level machine only ever accepts single
-               instructions; anything else is not its snapshot *)
-            let one_insn ((node, _) as id) =
-              match (M.finish, Static.node_insns node) with
-              | Structures, _ | Instructions, [ _ ] -> Ok id
-              | Instructions, _ ->
-                  Error
-                    (Printf.sprintf "checkpoint id %S is not one instruction"
-                       (Checkpoint.flagged_id id))
-            in
-            let passing =
-              all
-                (fun id -> Result.bind (Checkpoint.resolve_flagged program id) one_insn)
-                snap.passing
-            in
-            match (queue, passing) with
-            | Error msg, _ | _, Error msg -> refuse msg
-            | Ok queue, Ok passing ->
-                log := List.rev snap.log;
-                tested := snap.tested;
-                ck.restore_counters snap.counters;
-                (* an untagged (bfs) snapshot keeps the pre-strategy line *)
-                say "RESUME from %scheckpoint: %d tested, %d queued, %d passing"
-                  (if M.name = "bfs" then "" else M.name ^ " ")
-                  snap.tested (List.length queue) (List.length passing);
-                Some { next_seq = snap.next_seq; queue; passing }))
-    | _ -> None
-  in
   (* --------------------------------------------------------------- waves *)
-  let every = match options.checkpoint with Some ck -> max 1 ck.every | None -> max_int in
   (* [stop] is polled only at wave boundaries, so a stop request never cuts
-     a wave in half; snapshots happen only there too, once the whole wave
-     is folded in, so the saved state is exactly the resumable one *)
-  let rec waves st n =
+     a wave in half *)
+  let rec waves st =
     if options.stop () then (st, M.interrupt st)
     else
       match M.propose ctx st with
@@ -621,8 +503,7 @@ let drive (module M : MACHINE) ?(options = default_options) (target : Target.t) 
           let st, lines = M.consume ctx st (eval_wave w.configs) in
           says lines;
           drain_pool ();
-          if (n + 1) mod every = 0 then save st (M.flagged ctx st);
-          waves st (n + 1)
+          waves st
   in
   (* -------------------------------------------------------------- finish *)
   let compose flags =
@@ -683,10 +564,6 @@ let drive (module M : MACHINE) ?(options = default_options) (target : Target.t) 
         let flags =
           if lower <> [] && not interrupted then List.rev_map descend (List.rev flags) else flags
         in
-        (* a final snapshot is flushed either way: a stop request leaves the
-           still-queued frontier on disk, so a later resume continues the
-           campaign instead of restarting it *)
-        save st flags;
         let _, final, pass = compose flags in
         (final, pass, flags)
     | Instructions ->
@@ -744,13 +621,12 @@ let drive (module M : MACHINE) ?(options = default_options) (target : Target.t) 
             (fs, union ctx fs)
           end
         in
-        save st flags;
         (final, pass, kept)
   in
   let run () =
-    let st, lines = M.init ctx ~eval (resume ()) in
+    let st, lines = M.init ctx ~eval in
     says lines;
-    let st, stopped = waves st 0 in
+    let st, stopped = waves st in
     Option.iter (fun line -> says [ line ]) stopped;
     let final, final_pass, passing = finish st ~interrupted:(stopped <> None) in
     let replaced info =
@@ -784,7 +660,6 @@ let drive (module M : MACHINE) ?(options = default_options) (target : Target.t) 
       bits_saved = Config.bits_saved program final;
       log = List.rev !log;
       supervisor = Option.map Pool.stats pool;
-      snapshots = !snapshots;
       pruned = !pruned;
       interrupted = stopped <> None;
     }

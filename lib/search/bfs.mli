@@ -27,16 +27,19 @@
     blowout, out-of-memory or stack overflow is that one item's TRAP /
     TIMEOUT / CRASH verdict in the log, never the campaign's death.
 
-    With [checkpoint] set, the live search state (work queue, passing
-    set, test counter, caller counters, narration log) is atomically
-    snapshotted at wave boundaries; a later run with [resume] restarts
-    mid-level from the snapshot instead of replaying the whole campaign
-    through the {!Journal}. *)
+    A killed or stopped campaign resumes one way: it is run again from
+    the start while a verdict memo — the {!Journal} inline, the result
+    store in the campaign server — serves every verdict it already
+    holds, so the re-walk repeats the interrupted campaign's waves
+    without re-evaluating them. *)
 
 exception Aborted
 (** The one exception evaluation containment re-raises: raising it from an
     evaluator simulates the campaign being killed (tests, operator
-    interrupt). Everything else is classified per-item. *)
+    interrupt). Everything else is classified per-item. Only a sequential
+    campaign dies of it: under a pool the escaping exception is a worker
+    death, which {!Pool} requeues and then quarantines as [Crashed], and
+    the campaign completes. *)
 
 module Target : sig
   type t = {
@@ -92,27 +95,6 @@ end
 
 type granularity = Module_level | Func_level | Block_level | Insn_level
 
-type checkpoint_opts = {
-  path : string;  (** snapshot file ([path ^ ".tmp"] is the scratch name) *)
-  every : int;  (** snapshot every [every] waves (clamped to ≥ 1) *)
-  resume : bool;  (** restore from [path] before searching, if valid *)
-  save_counters : unit -> (string * int) list;
-      (** caller state persisted with each snapshot (e.g.
-          {!Harness.counters_list}) *)
-  restore_counters : (string * int) list -> unit;
-      (** inverse hook on resume (e.g. {!Harness.restore_counters}) *)
-}
-
-val checkpoint :
-  ?every:int ->
-  ?resume:bool ->
-  ?save_counters:(unit -> (string * int) list) ->
-  ?restore_counters:((string * int) list -> unit) ->
-  string ->
-  checkpoint_opts
-(** [checkpoint path] with defaults: snapshot every wave, no resume, no
-    caller counters. *)
-
 type shadow_opts = {
   report : Shadow_report.t;  (** a finished shadow-value analysis *)
   seed_predicted : bool;
@@ -162,7 +144,6 @@ type options = {
           ownership — the search never shuts it down). [None] with
           [workers > 1] staffs a transient deadline-less pool for the
           campaign. *)
-  checkpoint : checkpoint_opts option;
   shadow : shadow_opts option;
       (** shadow-guided mode: seed the passing set with the analysis'
           predicted configuration, reorder the frontier by predicted
@@ -179,10 +160,9 @@ type options = {
           the menu is ignored: double means "not replaced". Duplicates
           are removed; order is irrelevant (cost-sorted internally). *)
   stop : unit -> bool;
-      (** cooperative stop request, polled at wave boundaries only (a
-          consistent checkpoint is always flushed first). When it returns
-          [true] the search stops descending, composes the union of the
-          structures accepted {e so far} and returns with
+      (** cooperative stop request, polled at wave boundaries only. When
+          it returns [true] the search stops descending, composes the
+          union of the structures accepted {e so far} and returns with
           [interrupted = true] — how SIGINT in [craft search] and job
           cancellation in the campaign server end a campaign without
           losing it. Default: never stop. *)
@@ -190,8 +170,8 @@ type options = {
 
 val default_options : options
 (** Instruction-level descent, both optimizations on, threshold 4, 1
-    worker, no second phase, empty base, no pool, no checkpoint, no shadow
-    guidance, never-firing stop. *)
+    worker, no second phase, empty base, no pool, no shadow guidance,
+    never-firing stop. *)
 
 type result = {
   final : Config.t;  (** union of every individually-passing replacement *)
@@ -216,7 +196,6 @@ type result = {
   log : string list;  (** chronological search narration *)
   supervisor : Pool.stats option;
       (** pool supervision tallies, when a pool evaluated the waves *)
-  snapshots : int;  (** checkpoints written during the campaign *)
   pruned : int;
       (** candidates skipped by shadow pruning (each one logged and
           reported through [on_pruned], never dropped silently) *)
@@ -226,8 +205,8 @@ type result = {
 }
 
 val search : ?options:options -> Target.t -> result
-(** [drive breadth_first]. Raises only {!Aborted} (and only if an
-    evaluator raises it). *)
+(** [drive breadth_first]. Raises only {!Aborted}, and only when an
+    evaluator raises it in a campaign without a pool. *)
 
 (** {1 Wave machines and the campaign driver} *)
 
@@ -248,47 +227,38 @@ type ctx = {
           is tried at; cheaper formats are the finish's business *)
 }
 
-type resume = {
-  next_seq : int;  (** the snapshot's [seq] record *)
-  queue : (Checkpoint.entry * Static.node list) list;
-      (** the snapshot's queued items with their nodes resolved *)
-  passing : flagged;  (** the snapshot's passing set, resolved, in file order *)
-}
-(** What a matching checkpoint restores into a machine. *)
-
 type wave = {
   configs : Config.t list;  (** evaluated together, verdicts in this order *)
   pruned : int;  (** candidates skipped without an evaluation this wave *)
   notes : string list;  (** narration, logged before the evaluations *)
 }
 (** One proposed wave. It may evaluate nothing (every item of a BFS wave
-    pruned) and still counts as a wave for checkpointing. *)
+    pruned) and still counts as a wave: the driver polls [stop] after
+    it. *)
 
 type finish =
   | Structures
-      (** lattice-descend each accepted structure alone, snapshot, then
-          evaluate the union (and greedy composition) — BFS's finish *)
+      (** lattice-descend each accepted structure alone, then evaluate
+          the union (and greedy composition) — BFS's finish *)
   | Instructions
       (** evaluate the union (and greedy composition), then give every
           candidate left double one chance on top (the top-up) and descend
           the accepted instructions in place, keeping the whole
-          configuration passing; snapshot last — the finish of the flat,
-          instruction-level machines, which makes each one maximal over the
-          same move set *)
+          configuration passing — the finish of the flat, instruction-level
+          machines, which makes each one maximal over the same move set *)
 
 module type MACHINE = sig
   type state
 
   val name : string
-  (** The checkpoint/WAL strategy tag ([Strategy.of_string] syntax). *)
+  (** The strategy's token ([Strategy.of_string] syntax). *)
 
   val finish : finish
 
-  val init : ctx -> eval:(Config.t -> Verdict.verdict) -> resume option -> state * string list
-  (** The starting state, restored from [resume] when a checkpoint written
-      under this machine's [name] matched, plus narration. [eval] is the
-      driver's contained, counted evaluation path, for probes made before
-      the first wave (BFS's shadow seed). *)
+  val init : ctx -> eval:(Config.t -> Verdict.verdict) -> state * string list
+  (** The starting state, plus narration. [eval] is the driver's
+      contained, counted evaluation path, for probes made before the first
+      wave (BFS's shadow seed). *)
 
   val propose : ctx -> state -> wave option * state
   (** The next wave, or [None] when the machine is done. *)
@@ -297,12 +267,7 @@ module type MACHINE = sig
   (** Fold one wave's verdicts (in proposal order) into the state. *)
 
   val flagged : ctx -> state -> flagged
-  (** The accepted set so far: what checkpoints persist and the finish
-      composes. *)
-
-  val frontier : state -> int * Checkpoint.entry list
-  (** The next item sequence number and the queued work, as persisted in
-      a snapshot's [seq] and [item] records. *)
+  (** The accepted set so far: what the finish composes. *)
 
   val interrupt : state -> string option
   (** Narration for a stop request at a wave boundary, or [None] when
@@ -312,16 +277,15 @@ end
 val breadth_first : (module MACHINE)
 (** The paper's breadth-first structural descent (tagged ["bfs"]). Its
     state is the work queue, the passing set and the item sequence
-    counter; its checkpoints keep the pre-strategy [seq]/[item]/[passing]
-    records byte for byte. *)
+    counter. *)
 
 val drive : (module MACHINE) -> ?options:options -> Target.t -> result
 (** Run one campaign with a machine. The driver alone profiles the
     target, staffs or borrows the pool, evaluates every configuration
-    through one contained path that counts [tested], loads checkpoints
-    (refusing another program's or another strategy's), saves them every
-    [every] waves and at the end, polls [stop] at wave boundaries, runs
-    the machine's finish and builds the result. Raises only {!Aborted}. *)
+    through one contained path that counts [tested], polls [stop] at wave
+    boundaries, runs the machine's finish and builds the result. Raises
+    only {!Aborted}, and only when an evaluator raises it in a campaign
+    without a pool (see {!Aborted}). *)
 
 val force_single : base:Config.t -> Config.t -> Static.node -> Config.t
 (** [force_single ~base cfg node] marks [node] [Single] in [cfg] — at the

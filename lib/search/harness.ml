@@ -62,37 +62,6 @@ let make ?(retries = 0) ?(backoff = 1) ?(retry_fail_verify = false) ?cache raw =
 
 let counters t = t.c
 
-let counters_list t =
-  Mutex.protect t.lock (fun () ->
-      [
-        ("evaluations", t.c.evaluations);
-        ("attempts", t.c.attempts);
-        ("pass", t.c.pass);
-        ("fail_verify", t.c.fail_verify);
-        ("trapped", t.c.trapped);
-        ("timed_out", t.c.timed_out);
-        ("crashed", t.c.crashed);
-        ("retried", t.c.retried);
-        ("backoff_units", t.c.backoff_units);
-      ])
-
-let restore_counters t kvs =
-  Mutex.protect t.lock (fun () ->
-      List.iter
-        (fun (k, v) ->
-          match k with
-          | "evaluations" -> t.c.evaluations <- v
-          | "attempts" -> t.c.attempts <- v
-          | "pass" -> t.c.pass <- v
-          | "fail_verify" -> t.c.fail_verify <- v
-          | "trapped" -> t.c.trapped <- v
-          | "timed_out" -> t.c.timed_out <- v
-          | "crashed" -> t.c.crashed <- v
-          | "retried" -> t.c.retried <- v
-          | "backoff_units" -> t.c.backoff_units <- v
-          | _ -> ())
-        kvs)
-
 let tally t v =
   Mutex.protect t.lock (fun () ->
       t.c.attempts <- t.c.attempts + 1;

@@ -96,15 +96,6 @@ val eval : t -> Config.t -> verdict
 
 val counters : t -> counters
 
-val counters_list : t -> (string * int) list
-(** Snapshot of the counters as an association list — the form
-    {!Checkpoint} persists and {!restore_counters} accepts. *)
-
-val restore_counters : t -> (string * int) list -> unit
-(** Overwrite the named counters from a {!counters_list} snapshot
-    (unknown names are ignored), so a resumed campaign's end-of-run
-    report continues from where the killed one stopped. *)
-
 val report : t -> string
 (** One-line verdict breakdown, e.g.
     ["verdicts: pass=12 fail=30 trap=3 timeout=1 crash=0 | 46 evaluations, 47 attempts, 4 retried, backoff 7 units"];

@@ -1,4 +1,4 @@
-(** Append-only evaluation journal: crash-safe checkpoint/resume for the
+(** Append-only evaluation journal: crash-safe resume for the
     autosearch.
 
     Every classified verdict is appended as one record of a
@@ -7,14 +7,16 @@
     being written. Re-opening with [resume:true] replays the journal into
     an in-memory memo table; evaluations whose configuration digest is
     already journaled are served from the memo without running the
-    program, and the search continues where it stopped instead of
-    restarting.
+    program. A resumed campaign walks again from the start: it is
+    deterministic, so it proposes the killed campaign's configurations in
+    the same order, the memo serves them, and fresh evaluation resumes
+    where the killed campaign stopped. This is the only resume path.
 
     Record format (consistent with the paper's Fig. 3 configuration tokens
     in the summary field):
 
     {v
-    # craft-journal v1 <program-name-or-blank>
+    # craft-journal v1
     <digest16> <verdict-token> <tests-so-far> | <Fig.3-style config summary>
     v}
 
@@ -35,11 +37,11 @@ val create : ?resume:bool -> path:string -> Ir.program -> t
 (** Open [path] for appending ({!Durable_log.create}). With
     [resume = true] (default [false]) existing records are replayed into
     the memo first; without it the file is replaced by an empty journal
-    and the campaign starts clean. Appends are flushed, never fsynced on their own: callers
-    {!sync} at wave boundaries. *)
+    and the campaign starts clean. Appends are flushed, never fsynced on
+    their own: callers {!sync} at their own durability points. *)
 
 val sync : t -> unit
-(** Flush and [fsync(2)] the journal now: the per-wave durability point. *)
+(** Flush and [fsync(2)] the journal now. *)
 
 val close : t -> unit
 (** Flush, fsync and close. Idempotent. *)

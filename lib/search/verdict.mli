@@ -54,7 +54,7 @@ val classify_exn : exn -> verdict
     the rest. *)
 
 val escape : string -> string
-(** Percent-escape the characters the journal/checkpoint line formats
+(** Percent-escape the characters the journal, store and WAL line formats
     reserve (space, [%], [|], [:], tab, CR, LF). *)
 
 val unescape : string -> string option

@@ -13,9 +13,9 @@
       presumed dead (tier 2). Requeue is time-based, never
       disconnect-based, so a worker that drops its connection and rejoins
       quickly keeps its lease and its in-flight work.
-    - {b Requeue-from-checkpoint}: items of a dead lease return to the
-      queue with their original enqueue time, so the campaign-wide item
-      deadline still bounds their total wait.
+    - {b Requeue}: items of a dead lease return to the queue with their
+      original enqueue time, so the campaign-wide item deadline still
+      bounds their total wait.
     - {b Quarantine}: a worker {e name} that repeatedly kills batches
       (strikes ≥ [quarantine_after]) is banned — later hellos, leases and
       heartbeats are refused, exactly like the scheduler quarantines a

@@ -91,28 +91,24 @@ let run_campaign t j =
     Kernel.target ?eval_steps:j.spec.Wire.eval_steps ~cache:t.cache k
   in
   let harness, target = Harness.wrap_target ~retries:t.opts.retries target in
-  let program_key = Checkpoint.program_key k.Kernel.program in
+  let program_key = Store.program_key k.Kernel.program in
   let opts_digest = opts_digest j.spec in
-  let journal, checkpoint =
-    match t.opts.state_dir with
-    | None -> (None, None)
-    | Some root ->
-        let dir = Filename.concat root j.id in
-        let journal =
-          Journal.create ~resume:resumed ~path:(Filename.concat dir "journal")
-            k.Kernel.program
-        in
-        let checkpoint =
-          Bfs.checkpoint ~resume:resumed
-            ~save_counters:(fun () ->
-              (* checkpoint saves land on wave boundaries: the natural
-                 per-wave durability point for the journal too *)
-              Journal.sync journal;
-              Harness.counters_list harness)
-            ~restore_counters:(Harness.restore_counters harness)
-            (Filename.concat dir "checkpoint")
-        in
-        (Some journal, Some checkpoint)
+  let journal =
+    Option.map
+      (fun root ->
+        Journal.create ~resume:resumed
+          ~path:(Filename.concat (Filename.concat root j.id) "journal")
+          k.Kernel.program)
+      t.opts.state_dir
+  in
+  (* the job journal is an audit trail beside the store, which holds the
+     verdicts a resume is served from; each record is fsynced at once *)
+  let record cfg verdict =
+    Option.iter
+      (fun jr ->
+        Journal.record jr cfg verdict;
+        Journal.sync jr)
+      journal
   in
   let eval cfg =
     let config_digest = Config.digest k.Kernel.program cfg in
@@ -149,7 +145,7 @@ let run_campaign t j =
           (Verdict.verdict_label verdict)
           (Config.summarize cfg)
           (if served then " [store]" else if !remote then " [fleet]" else ""));
-    Option.iter (fun jr -> Journal.record jr cfg verdict) journal;
+    record cfg verdict;
     verdict = Verdict.Pass
   in
   let target = { target with Bfs.Target.eval } in
@@ -165,11 +161,7 @@ let run_campaign t j =
       let (_ : Vm.t) = Shadow_tracer.trace tracer ~setup:k.Kernel.setup in
       let report = Shadow_report.make ~base:k.Kernel.hints k.Kernel.program tracer in
       let on_pruned cfg div =
-        Option.iter
-          (fun jr ->
-            Journal.record jr cfg
-              (Verdict.Pruned (Printf.sprintf "shadow predicted divergence %.3e" div)))
-          journal
+        record cfg (Verdict.Pruned (Printf.sprintf "shadow predicted divergence %.3e" div))
       in
       Some (Bfs.shadow ~on_pruned report)
     end
@@ -191,7 +183,6 @@ let run_campaign t j =
       workers = t.opts.wave_width;
       base = k.Kernel.hints;
       pool = Some t.pool;
-      checkpoint;
       shadow;
       formats;
       stop = (fun () -> Atomic.get j.stop || Atomic.get t.kill);
@@ -205,9 +196,9 @@ let run_campaign t j =
     | Error _ -> Strategy.Bfs
   in
   let finally () = Option.iter Journal.close journal in
-  (* Strategy.run with Bfs IS Bfs.search — same moves, same journal, same
-     checkpoints; the other strategies drive the same wrapped eval path
-     (store, fleet offload, journal) through their wave machines *)
+  (* Strategy.run with Bfs IS Bfs.search — same moves, same journal; the
+     other strategies drive the same wrapped eval path (store, fleet
+     offload, journal) through their wave machines *)
   let res = Fun.protect ~finally (fun () -> Strategy.run ~options strategy target) in
   let summary =
     Printf.sprintf
@@ -236,8 +227,8 @@ let pick_queued t =
 
 let result_path root id = Filename.concat (Filename.concat root id) "result"
 
-(* Atomic, like Checkpoint.save: the result file is always either absent
-   or a complete configuration. *)
+(* Atomic: the result file is always either absent or a complete
+   configuration. *)
 let write_result path text = Durable_log.replace ~path (fun oc -> output_string oc text)
 
 (* Lock held; [j.state] is terminal. Persist the outcome so a restarted
@@ -310,8 +301,9 @@ let rec runner_loop t =
       | exception e ->
           (* a dead campaign driver is this job's failure, never the
              scheduler's: requeue, then quarantine — Pool semantics one
-             level up. A requeued job resumes from its own checkpoint and
-             journal, so the retry costs almost no re-evaluation. *)
+             level up. A requeued job re-walks its campaign against the
+             result store, so the retry re-evaluates nothing already
+             stored. *)
           let why = Printexc.to_string e in
           Mutex.protect t.lock (fun () -> j.deaths <- j.deaths + 1);
           if j.deaths >= t.opts.quarantine_after then
@@ -321,7 +313,7 @@ let rec runner_loop t =
               "" ""
           else
             finish_run t j Wire.Queued ""
-              (Printf.sprintf "driver died (%s); will resume from checkpoint" why));
+              (Printf.sprintf "driver died (%s); will resume from the store" why));
       runner_loop t
 
 (* -------------------------------------------------------------- recovery *)
@@ -336,9 +328,9 @@ let state_label = function
 
 (* Replay the job-table WAL a previous daemon life left on this state dir:
    jobs with a terminal outcome are re-listed with their persisted result;
-   jobs without one are re-queued and resume from their own per-job
-   journal+checkpoint — the same machinery a driver death uses, extended
-   to daemon death. *)
+   jobs without one are re-queued and re-walk their campaign against the
+   replayed result store — the same machinery a driver death uses,
+   extended to daemon death. *)
 let recover t root wal_path =
   let entries = Wal.replay (Wal.load ~path:wal_path) in
   Mutex.protect t.lock (fun () ->
@@ -389,8 +381,7 @@ let recover t root wal_path =
               | None ->
                   j.recovered <- true;
                   event t j
-                    "RECOVERED requeued after daemon death; will resume from \
-                     journal+checkpoint"))
+                    "RECOVERED requeued after daemon death; will resume from the store"))
         entries;
       Condition.broadcast t.cond)
 

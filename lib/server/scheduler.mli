@@ -1,8 +1,8 @@
 (** The campaign scheduler: many concurrent searches, one shared substrate.
 
-    Each submitted {!Wire.job_spec} becomes a job with a per-job journal
-    and checkpoint directory, an event stream, and a priority. [max_concurrent]
-    runner threads drive the campaigns; every candidate evaluation flows
+    Each submitted {!Wire.job_spec} becomes a job with a per-job journal,
+    an event stream, and a priority. [max_concurrent] runner threads
+    drive the campaigns; every candidate evaluation flows
     through the one shared {!Pool} (so the machine's worker domains are a
     single resource, not per-campaign fleets), compiled blocks land in the
     one shared {!Compile.cache}, and verdicts are memoized in the
@@ -14,23 +14,25 @@
     an evaluation — those are already classified) kills only that job's
     run; the job is requeued and, after [quarantine_after] driver deaths,
     quarantined with the exception message instead of being retried
-    forever. A requeued job resumes from its own checkpoint and journal,
-    so the retry re-evaluates almost nothing.
+    forever. A requeued job re-walks its campaign from the start while the
+    {!Store} serves every verdict it already holds, so the retry
+    re-evaluates nothing that was stored.
 
     With a [state_dir], the same containment extends to {e daemon} death:
     every submission and every terminal outcome is appended to a job-table
     {!Wal} under the state dir (terminal configurations also land in a
     per-job [result] file, written atomically), and {!create} replays it —
     finished jobs are re-listed with their persisted result, unfinished
-    ones are re-queued and resume from their per-job journal+checkpoint
-    exactly as after a driver death. Combined with a durable {!Store} a
-    [kill -9]'d daemon restarted on the same state dir loses no verdicts
-    and no campaigns.
+    ones are re-queued and re-walk their campaigns against the replayed
+    store exactly as after a driver death. Combined with a durable
+    {!Store} a [kill -9]'d daemon restarted on the same state dir loses no
+    verdicts and no campaigns. The per-job journal is an audit trail of
+    the job's verdicts, fsynced after every record; a resumed job
+    appends to it but is served by the store, never by it.
 
     Cancellation and drain are cooperative through {!Bfs}'s wave-boundary
-    stop: a cancelled (or drain-interrupted) job flushes a final
-    checkpoint and ends [Cancelled] with the partial result composed —
-    never killed mid-wave. *)
+    stop: a cancelled (or drain-interrupted) job ends [Cancelled] with the
+    partial result composed — never killed mid-wave. *)
 
 type options = {
   max_concurrent : int;  (** runner threads (campaigns in flight) *)
@@ -38,8 +40,8 @@ type options = {
   retries : int;  (** harness retry budget per evaluation *)
   quarantine_after : int;  (** driver deaths before a job is quarantined *)
   state_dir : string option;
-      (** root for the job-table WAL and per-job [journal] / [checkpoint] /
-          [result] files; [None] keeps jobs journal-less and the job table
+      (** root for the job-table WAL and per-job [journal] / [result]
+          files; [None] keeps jobs journal-less and the job table
           memory-only (tests) *)
 }
 

@@ -75,6 +75,34 @@ let create ?path ?(fsync_every = 32) () =
 let key ~program_key ~opts_digest ~config_digest =
   String.concat "/" [ program_key; opts_digest; config_digest ]
 
+(* The program key: FNV-1a over the id of every node of the structure
+   tree, preorder. Every key of every store log on disk starts with it, so
+   its bytes must never change. *)
+let node_id = function
+  | Static.Module (name, _) -> "M:" ^ Verdict.escape name
+  | Static.Func (fid, _, _) -> Printf.sprintf "F:%d" fid
+  | Static.Block (label, _) -> Printf.sprintf "B:%d" label
+  | Static.Insn info -> Printf.sprintf "I:%d" info.Static.addr
+
+let children = function
+  | Static.Module (_, cs) | Static.Func (_, _, cs) | Static.Block (_, cs) -> cs
+  | Static.Insn _ -> []
+
+let program_key program =
+  let h = ref 0xcbf29ce484222325L in
+  let mix s =
+    String.iter
+      (fun c ->
+        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+      s
+  in
+  let rec walk node =
+    mix (node_id node);
+    List.iter walk (children node)
+  in
+  List.iter walk (Static.tree program);
+  Printf.sprintf "%016Lx" !h
+
 (* Lock held. *)
 let persist t key verdict =
   match t.log with

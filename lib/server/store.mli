@@ -7,8 +7,8 @@
 
     {v (program key, eval-options digest, Config.digest) v}
 
-    where the program key is {!Checkpoint.program_key} (the structural
-    fingerprint of the candidate tree), the eval-options digest covers the
+    where the program key is {!program_key} (the structural fingerprint
+    of the candidate tree), the eval-options digest covers the
     step budget and backend (two jobs with different budgets may
     legitimately disagree on a timeout verdict), and {!Config.digest}
     identifies the candidate's effective per-instruction flags. Two
@@ -48,6 +48,10 @@ val create : ?path:string -> ?fsync_every:int -> unit -> t
 
 val key : program_key:string -> opts_digest:string -> config_digest:string -> string
 (** Compose the canonical store key. *)
+
+val program_key : Ir.program -> string
+(** 16-hex-digit FNV-1a fingerprint of the program's structure tree: the
+    first component of every key. *)
 
 val find_or_compute : t -> key:string -> (unit -> Verdict.verdict) -> Verdict.verdict * bool
 (** [find_or_compute t ~key f] returns the memoized verdict for [key],

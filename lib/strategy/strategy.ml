@@ -34,12 +34,10 @@ let of_string s =
 (* ------------------------------------------------------ shared helpers *)
 
 (* The machines below search the flat candidate set one instruction at a
-   time: they finish with the top-up and in-place lattice descent, keep
-   no queue in their checkpoints (only the accepted set), and a stop
-   request always interrupts them. *)
+   time: they finish with the top-up and in-place lattice descent, and a
+   stop request always interrupts them. *)
 module Flat = struct
   let finish = Bfs.Instructions
-  let frontier _ = (0, [])
   let interrupt _ = Some "STOP requested: composing what was accepted so far"
 end
 
@@ -55,17 +53,10 @@ let config_of_insns ctx insns =
     (fun acc i -> Config.set_insn acc (addr i) (entry_flag ctx))
     ctx.Bfs.options.base insns
 
-(* the accepted set, as the driver persists and composes it *)
+(* the accepted set, as the driver composes it *)
 let as_flagged fs =
   List.sort (fun (a, _) (b, _) -> compare (addr a) (addr b)) fs
   |> List.map (fun (i, fl) -> (Static.Insn i, fl))
-
-(* the accepted set a resumed snapshot carries (single instructions only) *)
-let resumed =
-  Option.map (fun (r : Bfs.resume) ->
-      List.concat_map
-        (fun (n, fl) -> List.map (fun i -> (i, fl)) (Static.node_insns n))
-        r.passing)
 
 let wave = function
   | [] -> None
@@ -115,14 +106,13 @@ module Split_m : Bfs.MACHINE = struct
 
   let group ctx insns = { insns; weight = weight_of ctx insns }
 
-  let init ctx ~eval:_ resume =
-    let accepted = Option.value (resumed resume) ~default:[] in
-    let rest = diff ctx.Bfs.universe (List.map fst accepted) in
-    let queue = if rest = [] then [] else [ group ctx rest ] in
-    ( { queue; inflight = []; accepted; rejected = 0 },
+  let init ctx ~eval:_ =
+    let all = ctx.Bfs.universe in
+    let queue = if all = [] then [] else [ group ctx all ] in
+    ( { queue; inflight = []; accepted = []; rejected = 0 },
       [
         Printf.sprintf "SPLIT %d candidates, total weight %d"
-          (List.length rest) (weight_of ctx rest);
+          (List.length all) (weight_of ctx all);
       ] )
 
   let propose ctx st =
@@ -211,14 +201,9 @@ module Delta_m : Bfs.MACHINE = struct
 
   type state = { phase : phase; active : Static.insn_info list }
 
-  let init ctx ~eval:_ resume =
-    match resumed resume with
-    | Some fs ->
-        ( { phase = Probe; active = List.map fst fs },
-          [ Printf.sprintf "DELTA resume with %d active" (List.length fs) ] )
-    | None ->
-        ( { phase = Probe; active = ctx.Bfs.universe },
-          [ Printf.sprintf "DELTA %d candidates" (List.length ctx.Bfs.universe) ] )
+  let init ctx ~eval:_ =
+    ( { phase = Probe; active = ctx.Bfs.universe },
+      [ Printf.sprintf "DELTA %d candidates" (List.length ctx.Bfs.universe) ] )
 
   let chunks g xs =
     let n = List.length xs in
@@ -354,54 +339,37 @@ let anneal_machine seed : (module Bfs.MACHINE) =
       Rng.shuffle rng a;
       Array.to_list a
 
-    let init ctx ~eval:_ resume =
+    let init ctx ~eval:_ =
       let rng = Rng.create seed in
-      match resumed resume with
-      | Some fs ->
-          let current = List.map fst fs in
+      let predicted =
+        match ctx.Bfs.options.shadow with
+        | Some s ->
+            List.concat_map Static.node_insns
+              (Shadow_report.predicted_nodes s.Bfs.report)
+            |> List.filter (mem_addr ctx.Bfs.universe)
+        | None -> []
+      in
+      match predicted with
+      | [] ->
           ( {
               rng;
-              current;
-              best = current;
-              sweep = shuffled rng (diff ctx.Bfs.universe current);
+              current = [];
+              best = [];
+              sweep = shuffled rng ctx.Bfs.universe;
               restarts_left = restarts;
               phase = `Sweep;
             },
-            [ Printf.sprintf "ANNEAL resume with %d accepted" (List.length fs) ]
-          )
-      | None -> (
-          let predicted =
-            match ctx.Bfs.options.shadow with
-            | Some s ->
-                List.concat_map Static.node_insns
-                  (Shadow_report.predicted_nodes s.Bfs.report)
-                |> List.filter (mem_addr ctx.Bfs.universe)
-            | None -> []
-          in
-          match predicted with
-          | [] ->
-              ( {
-                  rng;
-                  current = [];
-                  best = [];
-                  sweep = shuffled rng ctx.Bfs.universe;
-                  restarts_left = restarts;
-                  phase = `Sweep;
-                },
-                [ "ANNEAL no shadow seed; greedy sweep from empty" ] )
-          | p ->
-              ( {
-                  rng;
-                  current = p;
-                  best = [];
-                  sweep = [];
-                  restarts_left = restarts;
-                  phase = `Seed;
-                },
-                [
-                  Printf.sprintf "ANNEAL shadow seed: %d predicted"
-                    (List.length p);
-                ] ))
+            [ "ANNEAL no shadow seed; greedy sweep from empty" ] )
+      | p ->
+          ( {
+              rng;
+              current = p;
+              best = [];
+              sweep = [];
+              restarts_left = restarts;
+              phase = `Seed;
+            },
+            [ Printf.sprintf "ANNEAL shadow seed: %d predicted" (List.length p) ] )
 
     let next ctx st =
       match st.phase with

@@ -6,18 +6,13 @@
     strategy here is a {!Bfs.MACHINE} — a wave state machine that
     {e proposes} the next wave of configurations and {e consumes} its
     verdicts — run by the one campaign driver, {!Bfs.drive}, which owns
-    pool evaluation and containment, checkpoints, stop polling and the
-    finish. [bfs] is {!Bfs.breadth_first}, so [run Bfs] {e is}
+    pool evaluation and containment, stop polling and the finish. [bfs] is {!Bfs.breadth_first}, so [run Bfs] {e is}
     {!Bfs.search}. [split], [delta] and [anneal] search the flat candidate
     set one instruction at a time and share the {!Bfs.Instructions}
     finish (union, optional greedy composition, a greedy {e top-up} sweep
     and the in-place lattice descent), so every one of them ends maximal
     over the same move set and the "no worse than BFS" bake-off assertion
-    is an apples-to-apples comparison.
-
-    Checkpoints written by the flat machines carry a [strategy] tag
-    ({!Checkpoint.snapshot}) and refuse to resume under a different
-    strategy; untagged (pre-strategy) snapshots load as [bfs]. *)
+    is an apples-to-apples comparison. *)
 
 (** {1 Strategy tokens} *)
 
@@ -53,4 +48,6 @@ val run : ?options:Bfs.options -> token -> Bfs.Target.t -> Bfs.result
     as one wave, then grow-back coldest first) and shadow-seeded greedy
     descent with two seeded random restarts ([anneal], strictly sequential,
     so bit-deterministic on every evaluation path). Raises only
-    {!Bfs.Aborted}. *)
+    {!Bfs.Aborted}, and only when an evaluator raises it in a campaign
+    without a pool: under a pool it is a worker death, requeued and then
+    quarantined as [Crashed], and the campaign completes. *)

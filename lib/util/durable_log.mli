@@ -1,6 +1,6 @@
 (** Crash-safe append-only record logs and atomic file replacement: the
-    durability code under the journal, the result-store log, the job WAL,
-    checkpoints and job results, written once.
+    durability code under the journal, the result-store log, the job WAL
+    and job results, written once.
 
     A log is a text file: a header line, then one record per line. Decoding
     is total, so a line that does not decode — the half-written tail of an

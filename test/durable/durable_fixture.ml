@@ -1,7 +1,7 @@
 (* The exact bytes of every durable writer. [record dir] drives the
-   journal, the result-store log and its compaction, the job-table WAL and
-   a checkpoint through a fixed script inside [dir] and returns each file
-   as [(name, bytes)]. The copies committed under fixture/ pin what the
+   journal, the result-store log and its compaction, and the job-table WAL
+   through a fixed script inside [dir] and returns each file as
+   [(name, bytes)]. The copies committed under fixture/ pin what the
    writers emit; the recovery suite re-records them and compares byte for
    byte. *)
 
@@ -123,24 +123,4 @@ let wal dir =
   Wal.close w;
   [ ("jobs.wal", read_file path) ]
 
-(* a non-default strategy tag, counters, a queued item and an empty log
-   line, saved over an older snapshot *)
-let checkpoint dir =
-  let path = Filename.concat dir "checkpoint" in
-  let snap =
-    {
-      Checkpoint.key = "0123456789abcdef";
-      tested = 17;
-      next_seq = 23;
-      queue = [ { Checkpoint.seq = 21; weight = 900; nodes = [ "F:1"; "B:3"; "I:12@e5m10" ] } ];
-      passing = [ "M:syn"; "F:0"; "I:4@bf16" ];
-      counters = [ ("evaluations", 17); ("odd name: 100% |risky", 3) ];
-      log = [ "PASS syn (weight 5)"; ""; "line with: colons | pipes % and\ttabs" ];
-      strategy = "anneal:7";
-    }
-  in
-  Checkpoint.save ~path { snap with tested = 1; queue = []; log = [] };
-  Checkpoint.save ~path snap;
-  [ ("checkpoint", read_file path) ]
-
-let record dir = journal dir @ store dir @ wal dir @ checkpoint dir
+let record dir = journal dir @ store dir @ wal dir

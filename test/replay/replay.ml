@@ -5,24 +5,28 @@
    fields: the final configuration (digest and exchange-text MD5), every
    Bfs.result field but the pool supervisor's, and MD5s of the
    evaluation sequence (each evaluation's configuration digest and
-   outcome), the search log and every checkpoint write. The committed
-   fixture was recorded with gen_replay.exe; the replay suite recomputes
-   each line and compares it field by field.
+   outcome) and the search log. The committed fixture was recorded with
+   gen_replay.exe; the replay suite recomputes each line and compares it
+   field by field.
 
    A parallel wave evaluates in whatever order the pool's workers pick
    its items, so with more than one worker the sequence is cut at every
    [stop] poll (the drivers poll exactly at wave boundaries) and each
-   piece is recorded as a sorted set. Checkpoint writes are captured
-   through [save_counters], which fires once per save: call [n] reads
-   back write [n - 1], and the last write is read after the campaign. *)
+   piece is recorded as a sorted set. *)
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* structure-node ids, as the [nodes] and [flags] fields hash them: a
+   flag other than [Single] follows the id after '@' *)
+let node_id = function
+  | Static.Module (name, _) -> "M:" ^ Verdict.escape name
+  | Static.Func (fid, _, _) -> Printf.sprintf "F:%d" fid
+  | Static.Block (label, _) -> Printf.sprintf "B:%d" label
+  | Static.Insn info -> Printf.sprintf "I:%d" info.Static.addr
+
+let flagged_id = function
+  | node, Config.Single -> node_id node
+  | node, flag -> node_id node ^ "@" ^ Config.flag_token flag
 
 (* ----------------------------------------------------------- subjects *)
 
@@ -121,12 +125,11 @@ let sequence ~parallel p =
 type setup = {
   opts : Bfs.options;
   stop_after : int option;  (** [stop] answers true from poll [k + 1] on *)
-  ckpt : (int * bool) option;  (** checkpoint every [n] waves, resuming? *)
 }
 
-let plain = { opts = Bfs.default_options; stop_after = None; ckpt = None }
+let plain = { opts = Bfs.default_options; stop_after = None }
 
-let campaign ~ckpt_path ~program target tok s =
+let campaign ~program target tok s =
   let p = { lock = Mutex.create (); seq = [] } in
   let target = recording p target in
   let polls = ref 0 in
@@ -135,23 +138,7 @@ let campaign ~ckpt_path ~program target tok s =
     incr polls;
     match s.stop_after with Some k -> !polls > k | None -> false
   in
-  let saves = ref 0 and writes = ref [] and restored = ref "-" in
-  let checkpoint =
-    Option.map
-      (fun (every, resume) ->
-        Bfs.checkpoint ~every ~resume
-          ~save_counters:(fun () ->
-            incr saves;
-            if !saves > 1 then writes := md5 (read_file ckpt_path) :: !writes;
-            [ ("saves", !saves) ])
-          ~restore_counters:(fun cs ->
-            restored :=
-              String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) cs))
-          ckpt_path)
-      s.ckpt
-  in
-  let r = Strategy.run ~options:{ s.opts with Bfs.stop; checkpoint } tok target in
-  if !saves > 0 then writes := md5 (read_file ckpt_path) :: !writes;
+  let r = Strategy.run ~options:{ s.opts with Bfs.stop } tok target in
   let ids f xs = md5 (String.concat " " (List.map f xs)) in
   let log = String.concat "\n" r.Bfs.log in
   [
@@ -165,29 +152,24 @@ let campaign ~ckpt_path ~program target tok s =
     ("static", string_of_int r.Bfs.static_replaced);
     ("static_pct", Printf.sprintf "%h" r.Bfs.static_pct);
     ("dynamic_pct", Printf.sprintf "%h" r.Bfs.dynamic_pct);
-    ("nodes", ids Checkpoint.node_id r.Bfs.passing_nodes);
-    ("flags", ids Checkpoint.flagged_id r.Bfs.passing_flags);
+    ("nodes", ids node_id r.Bfs.passing_nodes);
+    ("flags", ids flagged_id r.Bfs.passing_flags);
     ("bits", string_of_int r.Bfs.bits_saved);
     ("pruned", string_of_int r.Bfs.pruned);
     ("interrupted", string_of_bool r.Bfs.interrupted);
     ("log", Printf.sprintf "%d:%s" (List.length r.Bfs.log) (md5 log));
-    ("snapshots", string_of_int r.Bfs.snapshots);
-    ("writes", Printf.sprintf "%d:%s" (List.length !writes) (md5 (String.concat "," (List.rev !writes))));
-    ("restored", !restored);
   ]
 
 (* Fields where split/delta/anneal may differ from the recording: the
-   log wording, the snapshot count, the checkpoint bytes, and the caller
-   counters a resume restores (they count saves). bfs keeps all. *)
-let narration = [ "log"; "snapshots"; "writes"; "restored" ]
+   log wording. bfs keeps all. *)
+let narration = [ "log" ]
 
 let strategies =
   Strategy.[ Bfs; Split; Delta; Anneal default_seed ]
 
 (* ------------------------------------------------------------- cases *)
 
-(* One group of campaigns sharing a subject; [runs] are executed in order
-   (a resume case reads the checkpoint its predecessor left behind). *)
+(* One group of campaigns sharing a subject; [runs] are executed in order. *)
 type group = {
   subject : string;
   make : unit -> Bfs.Target.t * Shadow_report.t Lazy.t * Config.t;
@@ -219,28 +201,16 @@ let synthetic_runs =
     ("shadow-reorder", shadow_setup ~seed:false ~reorder:true ());
     ("shadow-prune", shadow_setup ~seed:false ~reorder:false ~prune:1e-12 ());
     ("shadow-all-w3", shadow_setup ~w:3 ~seed:true ~reorder:true ~prune:1e-12 ());
-    ("stop1", fun o _ -> { plain with opts = o; stop_after = Some 1 });
-    ("stop3-menu", fun o _ -> { plain with opts = { o with Bfs.formats = full_menu }; stop_after = Some 3 });
-    ("ck1", fun o _ -> { plain with opts = o; ckpt = Some (1, false) });
-    ("ck1-stop2", fun o _ -> { opts = o; stop_after = Some 2; ckpt = Some (1, false) });
-    ("ck1-resume", fun o _ -> { plain with opts = o; ckpt = Some (1, true) });
-    ( "ck2-stop3-w3",
+    ("stop1", fun o _ -> { opts = o; stop_after = Some 1 });
+    ("stop3-menu", fun o _ -> { opts = { o with Bfs.formats = full_menu }; stop_after = Some 3 });
+    ("stop2", fun o _ -> { opts = o; stop_after = Some 2 });
+    ( "stop3-menu-phase2-w3",
       fun o _ ->
         {
           opts = { o with Bfs.workers = 3; formats = full_menu; second_phase = true };
           stop_after = Some 3;
-          ckpt = Some (2, false);
         } );
-    ( "ck2-resume-w3",
-      fun o _ ->
-        {
-          opts = { o with Bfs.workers = 3; formats = full_menu; second_phase = true };
-          stop_after = None;
-          ckpt = Some (2, true);
-        } );
-    ( "ck1-shadow",
-      fun o r ->
-        { (shadow_setup ~seed:true ~reorder:true ~prune:1e-12 () o r) with ckpt = Some (1, false) } );
+    ("shadow-all", shadow_setup ~seed:true ~reorder:true ~prune:1e-12 ());
   ]
 
 let synthetic_groups =
@@ -276,14 +246,13 @@ let kernel_groups =
         @
         if prune then
           (* every wave of 1 is one item, and all but 4 are pruned: BFS
-             still counts each all-pruned wave and snapshots after it *)
+             still counts each all-pruned wave and polls [stop] after it *)
           [
-            ( "prune1e-6-ck1",
+            ( "prune1e-6",
               fun o r ->
                 {
+                  plain with
                   opts = { o with Bfs.shadow = Some (Bfs.shadow ~prune_above:1e-6 (Lazy.force r)) };
-                  stop_after = None;
-                  ckpt = Some (1, false);
                 } );
           ]
         else [];
@@ -297,20 +266,19 @@ let kernel_groups =
 
 (* Run every campaign of [groups]; [emit key fields] receives each line's
    key ("<subject>/<run> <strategy>") and its fields, in fixture order. *)
-let run_groups ~ckpt_path groups emit =
+let run_groups groups emit =
   List.iter
     (fun g ->
       let target, shadow, base = g.make () in
       let program = target.Bfs.Target.program in
       List.iter
         (fun tok ->
-          (try Sys.remove ckpt_path with Sys_error _ -> ());
           List.iter
             (fun (run, mk) ->
               let s = mk { Bfs.default_options with Bfs.base } shadow in
               emit
                 (Printf.sprintf "%s/%s %s" g.subject run (Strategy.to_string tok))
-                (campaign ~ckpt_path ~program target tok s))
+                (campaign ~program target tok s))
             g.runs)
         strategies)
     groups

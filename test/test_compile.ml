@@ -364,7 +364,7 @@ let test_campaign_equivalence () =
   let campaign ~base target =
     let h, target = Harness.wrap_target target in
     let r = Bfs.search ~options:{ Bfs.default_options with base } target in
-    (r, Harness.counters_list h)
+    (r, Harness.counters h)
   in
   let same label ~base target_of =
     let ri, ci = campaign ~base (target_of Compile.Interp) in
@@ -373,7 +373,7 @@ let test_campaign_equivalence () =
       (compare ri.Bfs.final rc.Bfs.final = 0);
     checki (label ^ ": same number of evaluations") ri.Bfs.tested rc.Bfs.tested;
     checkb (label ^ ": same final verdict") true (ri.Bfs.final_pass = rc.Bfs.final_pass);
-    Alcotest.(check (list (pair string int))) (label ^ ": same verdict counters") ci cc
+    checkb (label ^ ": same verdict counters") true (ci = cc)
   in
   let prog, input = Test_fuzz.random_program 31415 in
   same "fuzz" ~base:Config.empty (fun backend -> fuzz_target ~backend prog input);

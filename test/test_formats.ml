@@ -4,11 +4,11 @@
    bfloat16 vectors (subnormals, overflow boundaries, NaN payloads), and
    the existing binary32 emulation at (8, 23). Then the lattice's
    integration seams: Config flag tokens and digests (pre-lattice
-   byte-compatibility is load-bearing for every old journal, checkpoint
-   and store log), the exchange-text parser's hard rejection of unknown
-   format tokens, interpreter/compiled bit-identity under every named
-   format, the shadow tracer's format shadows, and checkpoint/journal
-   replay of pre-lattice artifacts. *)
+   byte-compatibility is load-bearing for every old journal and store
+   log), the exchange-text parser's hard rejection of unknown format
+   tokens, interpreter/compiled bit-identity under every named format, the
+   shadow tracer's format shadows, and journal replay of pre-lattice
+   artifacts. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -315,8 +315,8 @@ let synthetic_program () =
   in
   Builder.program t ~main
 
-(* Pre-lattice digest compatibility. Old journals, checkpoints and store
-   logs key on this digest, so for configurations that only use s/d/i it
+(* Pre-lattice digest compatibility. Old journals and store logs key on
+   this digest, so for configurations that only use s/d/i it
    must forever equal the original FNV-1a over (addr, flag char) —
    reimplemented here from the pre-lattice definition, independently of
    Config.digest's token-based generalization. *)
@@ -523,47 +523,6 @@ let test_shadow_format () =
 
 (* ------------------------------------------------- pre-lattice replay compat *)
 
-let rec flatten_node (n : Static.node) =
-  n
-  ::
-  (match n with
-  | Static.Module (_, cs) | Static.Func (_, _, cs) | Static.Block (_, cs) ->
-      List.concat_map flatten_node cs
-  | Static.Insn _ -> [])
-
-let test_checkpoint_flagged_ids () =
-  let prog = synthetic_program () in
-  let nodes = List.concat_map flatten_node (Static.tree prog) in
-  checkb "have nodes" true (nodes <> []);
-  List.iter
-    (fun node ->
-      (* bare pre-lattice ids resolve to the node at Single — exactly what
-         an old checkpoint's passing list meant *)
-      let bare = Checkpoint.node_id node in
-      (match Checkpoint.resolve_flagged prog bare with
-      | Ok (n', fl) ->
-          checkb "bare id -> Single" true
-            (Checkpoint.node_id n' = bare && fl = Config.Single)
-      | Error e -> Alcotest.failf "bare id %s: %s" bare e);
-      (* a Single-flagged entry renders as the bare id: new checkpoints of
-         single-only campaigns are byte-identical to old ones *)
-      checks "Single renders bare" bare (Checkpoint.flagged_id (node, Config.Single));
-      (* lattice flags round-trip through the @token suffix *)
-      List.iter
-        (fun flag ->
-          let id = Checkpoint.flagged_id (node, flag) in
-          match Checkpoint.resolve_flagged prog id with
-          | Ok (n', fl') ->
-              checkb ("round-trip " ^ id) true
-                (Checkpoint.node_id n' = bare && fl' = flag)
-          | Error e -> Alcotest.failf "flagged id %s: %s" id e)
-        [ Config.of_format Formats.bfloat16; Config.of_format Formats.half ])
-    nodes;
-  (* hostile suffixes are typed errors *)
-  match Checkpoint.resolve_flagged prog (Checkpoint.node_id (List.hd nodes) ^ "@zz9") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted an unknown flag suffix"
-
 let test_journal_replay_compat () =
   let prog = synthetic_program () in
   let cands = Static.candidates prog in
@@ -627,6 +586,5 @@ let suite =
     ("formats: interp = compiled on cg.W and mg.W lattice configs", `Quick, test_differential_kernel_lattice);
     ("formats: menus on cg.W and mg.W", `Quick, test_menus_on_kernels);
     ("formats: shadow carries reduced-format shadows", `Quick, test_shadow_format);
-    ("formats: checkpoint flagged ids replay old ids", `Quick, test_checkpoint_flagged_ids);
     ("formats: pre-lattice journal replays cleanly", `Quick, test_journal_replay_compat);
   ]

@@ -1,6 +1,6 @@
 (* Tests for the resilient evaluation subsystem: verdict classification and
-   containment, retry/backoff, deterministic fault injection, and journaled
-   checkpoint/resume. *)
+   containment, retry/backoff, deterministic fault injection, and journal
+   resume. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int

@@ -17,7 +17,6 @@ let () =
       ("search", Test_search.suite);
       ("harness", Test_harness.suite);
       ("pool", Test_pool.suite);
-      ("checkpoint", Test_checkpoint.suite);
       ("strategy", Test_strategy.suite);
       ("strategies", Test_strategy.strategies_suite);
       ("replay", Test_replay.suite);

@@ -2,10 +2,9 @@
    bfs-token fidelity (Strategy.run Bfs replays the exact evaluation
    sequence of Bfs.search on fuzzed programs), split/delta/anneal sanity
    on known-answer synthetics, anneal fixed-seed determinism across the
-   sequential and pool evaluation paths, and strategy-tagged checkpoint
-   compatibility — untagged pre-strategy snapshots load and resume as
-   bfs, tagged snapshots refuse to resume under a different strategy —
-   and the NAS bake-off: no strategy saves fewer bits than BFS.
+   sequential and pool evaluation paths, exact journal resume of a killed
+   campaign under every strategy, and the NAS bake-off: no strategy saves
+   fewer bits than BFS.
    [strategies_suite] holds the delta-debugging and greedy-sweep
    known answers. Byte-for-byte fidelity of every strategy to the
    two-driver recording is the replay suite's job (test_replay.ml). *)
@@ -13,14 +12,6 @@
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    if i + n > String.length s then false
-    else String.sub s i n = sub || go (i + 1)
-  in
-  go 0
 
 (* the known-answer synthetic from the BFS tests: [n_ops] const+add
    chains, the poisoned ones losing bits in single precision *)
@@ -233,105 +224,60 @@ let test_greedy_always_passes () =
   checkb "a test per candidate" true (r.Bfs.tested >= r.Bfs.candidates);
   checki "all benign kept" 14 r.Bfs.static_replaced
 
-(* --------------------------------------------- checkpoint compatibility *)
+(* ------------------------------------------------------- journal resume *)
 
-let with_temp f =
-  let path = Filename.temp_file "craft_strategy" ".ck" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* the committed fixture is a verbatim pre-strategy checkpoint — written
-   before the strategy record existed — and must load with strategy "bfs" *)
-let test_prestrategy_fixture_loads_as_bfs () =
-  let path =
-    Filename.concat (Filename.dirname Sys.executable_name) "prestrategy.ckpt"
-  in
-  match Checkpoint.load ~path with
-  | Error why -> Alcotest.failf "fixture refused: %s" why
-  | Ok snap ->
-      checks "untagged snapshot is bfs" "bfs" snap.Checkpoint.strategy;
-      checki "tested" 7 snap.Checkpoint.tested;
-      checkb "passing carried" true
-        (snap.Checkpoint.passing = [ "M:syn"; "I:12@e5m10" ])
-
-let test_bfs_snapshots_stay_untagged () =
-  with_temp (fun path ->
-      let snap =
-        {
-          Checkpoint.key = "cafe";
-          tested = 3;
-          next_seq = 1;
-          queue = [];
-          passing = [ "I:4" ];
-          counters = [];
-          log = [ "one line" ];
-          strategy = "bfs";
-        }
-      in
-      Checkpoint.save ~path snap;
-      (* byte-compatible with the pre-strategy format: no strategy record *)
-      checkb "no strategy line for bfs" false
-        (contains (read_file path) "strategy");
-      checks "loads back as bfs" "bfs"
-        (Result.get_ok (Checkpoint.load ~path)).Checkpoint.strategy;
-      (* a machine strategy's tag round-trips *)
-      Checkpoint.save ~path { snap with strategy = "anneal:42" };
-      checkb "tag written" true (contains (read_file path) "strategy anneal");
-      checks "tag loads back" "anneal:42"
-        (Result.get_ok (Checkpoint.load ~path)).Checkpoint.strategy)
-
-let test_tagged_snapshot_refuses_other_strategy () =
-  with_temp (fun path ->
-      let target = synthetic ~n_ops:6 ~poison:[ 1 ] in
-      let options =
-        {
-          Bfs.default_options with
-          checkpoint = Some (Bfs.checkpoint ~resume:true path);
-        }
-      in
-      (* run split to completion so a split-tagged snapshot lands on disk *)
-      let r = Strategy.run ~options Strategy.Split target in
-      checkb "split wrote snapshots" true (r.Bfs.snapshots > 0);
-      checks "on-disk tag is split" "split"
-        (Result.get_ok (Checkpoint.load ~path)).Checkpoint.strategy;
-      (* split itself resumes its own snapshot... *)
-      let r3 = Strategy.run ~options Strategy.Split target in
-      checkb "split resumes split" true
-        (List.exists (fun l -> contains l "RESUME from split") r3.Bfs.log);
-      (* ...but delta must refuse it and still finish fresh *)
-      let r2 = Strategy.run ~options Strategy.Delta target in
-      checkb "delta still passes" true r2.Bfs.final_pass;
-      checkb "refusal is narrated" true
-        (List.exists
-           (fun l -> contains l "not resumed" && contains l "split")
-           r2.Bfs.log))
-
-let test_bfs_resumes_untagged_snapshot_via_strategy_run () =
-  with_temp (fun path ->
-      let target = synthetic ~n_ops:6 ~poison:[ 1 ] in
-      let options resume =
-        {
-          Bfs.default_options with
-          checkpoint = Some (Bfs.checkpoint ~resume path);
-        }
-      in
-      (* a bfs campaign leaves an untagged snapshot behind... *)
-      let r = Strategy.run ~options:(options false) Strategy.Bfs target in
-      checkb "bfs wrote snapshots" true (r.Bfs.snapshots > 0);
-      checkb "snapshot is untagged" false (contains (read_file path) "strategy");
-      (* ...which a resuming bfs run accepts (pre-strategy compatibility) *)
-      let r2 = Strategy.run ~options:(options true) Strategy.Bfs target in
-      checkb "resumed run passes" true r2.Bfs.final_pass;
-      checkb "no refusal narrated" false
-        (List.exists (fun l -> contains l "not resumed") r2.Bfs.log))
+(* A killed campaign resumes one way: it walks again from the start while
+   its journal serves every verdict the killed run recorded, so the
+   resumed run is the uninterrupted campaign, configuration for
+   configuration. The kills run sequentially: under a pool, [Aborted] is a
+   worker death, which the pool requeues and quarantines, not the
+   campaign's. *)
+let test_journal_resume_is_exact () =
+  List.iter
+    (fun tok ->
+      let target = synthetic ~n_ops:8 ~poison:[ 2; 5 ] in
+      let program = target.Bfs.Target.program in
+      let full = Strategy.run tok target in
+      List.iter
+        (fun kill ->
+          let label = Printf.sprintf "%s killed after %d" (Strategy.to_string tok) kill in
+          let path = Filename.temp_file "craft_strategy" ".journal" in
+          Fun.protect
+            ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+            (fun () ->
+              let journaled ~resume =
+                let harness, t = Harness.wrap_target target in
+                let j = Journal.create ~resume ~path program in
+                (j, Journal.wrap_target j ~harness t)
+              in
+              let j, t = journaled ~resume:false in
+              let calls = ref 0 in
+              let eval cfg =
+                incr calls;
+                if !calls > kill then raise Bfs.Aborted else t.Bfs.Target.eval cfg
+              in
+              (match Strategy.run tok { t with Bfs.Target.eval } with
+              | _ -> Alcotest.failf "%s: the kill did not abort the campaign" label
+              | exception Bfs.Aborted -> ());
+              Journal.close j;
+              let j, t = journaled ~resume:true in
+              let r = Strategy.run tok t in
+              Journal.close j;
+              checks (label ^ ": final")
+                (Config.digest program full.Bfs.final)
+                (Config.digest program r.Bfs.final);
+              checki (label ^ ": tested") full.Bfs.tested r.Bfs.tested;
+              checkb (label ^ ": passing flags") true
+                (r.Bfs.passing_flags = full.Bfs.passing_flags);
+              checkb (label ^ ": log") true (r.Bfs.log = full.Bfs.log);
+              checkb (label ^ ": journal replayed") true (Journal.replayed j > 0);
+              checkb
+                (Printf.sprintf "%s: fresh (%d) < tested (%d)" label (Journal.fresh j)
+                   r.Bfs.tested)
+                true
+                (Journal.fresh j < r.Bfs.tested)))
+        [ 2; 5 ])
+    [ Strategy.Bfs; Strategy.Split; Strategy.Delta; Strategy.Anneal Strategy.default_seed ]
 
 (* ------------------------------------------------ bake-off on NAS kernels *)
 
@@ -374,10 +320,7 @@ let suite =
     ("strategy: machines survive an all-poisoned kernel", `Quick, test_machines_all_poisoned);
     ("strategy: anneal seed is deterministic across eval paths", `Quick, test_anneal_determinism);
     ("strategy: machines respect base hints", `Quick, test_machines_respect_base_hints);
-    ("strategy: pre-strategy fixture loads as bfs", `Quick, test_prestrategy_fixture_loads_as_bfs);
-    ("strategy: bfs snapshots stay untagged", `Quick, test_bfs_snapshots_stay_untagged);
-    ("strategy: tagged snapshot refuses other strategies", `Quick, test_tagged_snapshot_refuses_other_strategy);
-    ("strategy: bfs resumes untagged snapshots", `Quick, test_bfs_resumes_untagged_snapshot_via_strategy_run);
+    ("strategy: journal resume replays the uninterrupted campaign", `Quick, test_journal_resume_is_exact);
     ("strategy: no strategy saves fewer bits than BFS", `Quick, test_no_worse_than_bfs);
   ]
 
