@@ -144,16 +144,22 @@ let journal_arg =
     & opt (some string) None
     & info [ "journal" ] ~docv:"FILE"
         ~doc:
-          "Append every evaluation verdict to $(docv) (flushed per record), making the \
-           campaign crash-safe. Without $(b,--resume) the file is truncated first.")
+          "Keep the campaign's verdicts in a result-store log at $(docv) (every record \
+           flushed, fsynced at exit), making the campaign crash-safe. Each verdict is \
+           keyed by the program, the kernel's input (benchmark and class), the step \
+           budget, the backend and the $(b,--inject) spec. Without $(b,--resume) the \
+           file is removed first.")
 
 let resume_arg =
   Arg.(
     value & flag
     & info [ "resume" ]
         ~doc:
-          "Replay the journal before searching: already-tested configurations are served \
-           from it and an interrupted campaign continues instead of restarting. Requires \
+          "Replay the $(b,--journal) log before searching: the campaign is walked again \
+           from the start and every verdict the log holds under the same key is served \
+           from it, so an interrupted campaign continues instead of restarting. Verdicts \
+           earned under another class, step budget, backend or $(b,--inject) spec are \
+           not served. A file that is not a result-store log is refused. Requires \
            $(b,--journal).")
 
 let retries_arg =
@@ -161,8 +167,8 @@ let retries_arg =
     value & opt int 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Retry budget per evaluation for flaky verdicts (trap, step-timeout, crash), \
-           with deterministic exponential backoff.")
+          "Retry budget per evaluation for flaky verdicts (trap, step-timeout, crash); \
+           each retry runs at once.")
 
 let eval_steps_arg =
   Arg.(
@@ -210,8 +216,8 @@ let shadow_flag =
            to guide the search: seed the passing set with the predicted configuration, \
            reorder the frontier by predicted tolerance, and prune candidates whose \
            predicted divergence exceeds the $(b,--shadow-prune) bound. Every pruned \
-           candidate is logged (and journaled as a $(i,pruned) verdict with \
-           $(b,--journal)), never dropped silently. BFS strategy only.")
+           candidate is logged as a $(b,PRUNED) line and counted, never dropped \
+           silently. BFS strategy only.")
 
 let shadow_threshold_arg =
   Arg.(
@@ -228,7 +234,7 @@ let shadow_prune_arg =
     & info [ "shadow-prune" ] ~docv:"BOUND"
         ~doc:
           "Hard divergence bound for shadow pruning: candidates predicted to diverge \
-           beyond $(docv) are skipped (journaled as $(i,pruned)) instead of evaluated. \
+           beyond $(docv) are skipped (logged as $(b,PRUNED)) instead of evaluated. \
            Candidates with observed control-flow flips are never pruned. A value <= 0 \
            disables pruning (default 1e-1).")
 
@@ -284,13 +290,12 @@ let search_cmd =
           prerr_endline "craft: --resume requires --journal FILE";
           exit 1
         end;
-        let faults =
+        let inject =
           Option.map
-            (fun text ->
-              Faults.create
-                (or_die (Result.map_error (fun e -> "--inject: " ^ e) (Faults.parse text))))
+            (fun text -> or_die (Result.map_error (fun e -> "--inject: " ^ e) (Faults.parse text)))
             inject
         in
+        let faults = Option.map Faults.create inject in
         let backend =
           match Compile.backend_of_string backend_name with
           | Some b -> b
@@ -307,10 +312,14 @@ let search_cmd =
             (Kernel.target ?eval_steps ?faults ~backend k)
         in
         let journal =
-          Option.map (fun p -> Journal.create ~resume ~path:p k.Kernel.program) journal_path
+          Option.map (fun path -> (path, or_die (Store.open_journal ~resume ~path))) journal_path
         in
         let target =
-          match journal with Some j -> Journal.wrap_target j ~harness target | None -> target
+          match journal with
+          | Some (_, store) ->
+              let context = Store.context ?eval_steps ~backend ?inject k in
+              Store.wrap_target store ~context ~harness target
+          | None -> target
         in
         let shadow_opts =
           if not use_shadow then None
@@ -325,15 +334,8 @@ let search_cmd =
               Shadow_report.make ~threshold:shadow_threshold ~base:k.Kernel.hints
                 k.Kernel.program tracer
             in
-            let on_pruned cfg div =
-              match journal with
-              | Some j ->
-                  Journal.record j cfg
-                    (Verdict.Pruned (Printf.sprintf "shadow predicted divergence %.3e" div))
-              | None -> ()
-            in
             let prune_above = if shadow_prune > 0.0 then Some shadow_prune else None in
-            Some (Bfs.shadow ?prune_above ~on_pruned report)
+            Some (Bfs.shadow ?prune_above report)
           end
         in
         (* The supervised pool is staffed whenever parallelism or a deadline
@@ -432,11 +434,11 @@ let search_cmd =
         | Some inj -> Format.printf "injected faults fired: %d@." (Faults.injected inj)
         | None -> ());
         match journal with
-        | Some j ->
-            Format.printf "journal %s: %d replayed, %d hit(s), %d fresh, %d record(s)@."
-              (Journal.path j) (Journal.replayed j) (Journal.hits j) (Journal.fresh j)
-              (Journal.entries j);
-            Journal.close j
+        | Some (path, store) ->
+            let s = Store.stats store in
+            Format.printf "journal %s: %d replayed, %d hit(s), %d fresh, %d record(s)@." path
+              s.Store.replayed s.Store.hits s.Store.misses s.Store.entries;
+            Store.close store
         | None -> ())
   in
   Cmd.v
@@ -563,22 +565,36 @@ let snippet_cmd =
     (Cmd.info "snippet" ~doc:"Show the single-precision replacement snippet (paper Fig. 6)")
     Term.(const run $ const ())
 
+(* The per-verdict tally of a store log, for [craft journal] and
+   [craft store]. *)
+let print_tally path =
+  let records = Store.scan ~path in
+  Format.printf "%s: %d record(s)@." path (List.length records);
+  List.iter
+    (fun label ->
+      match List.filter (fun (_, v) -> Verdict.verdict_label v = label) records with
+      | [] -> ()
+      | hits -> Format.printf "  %-8s %d@." label (List.length hits))
+    [ "pass"; "fail"; "trap"; "timeout"; "crash"; "pruned" ]
+
 let journal_cmd =
   let path_arg =
     Arg.(
       required
       & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Journal file written by $(b,craft search --journal).")
+      & info [] ~docv:"FILE"
+          ~doc:"Log written by $(b,craft search --journal) or by $(b,craft serve).")
   in
   let verify_arg =
     Arg.(
       value & flag
       & info [ "verify" ]
           ~doc:
-            "Integrity scan of a journal, store log or job WAL (told apart by the header \
-             line): record counts, duplicate digests (journals), trailing corruption (the \
-             half-record a crash legitimately leaves — tolerated), and torn records \
-             (unparseable lines $(i,before) the last good one — exit status 1).")
+            "Integrity scan of a store log (a $(b,--journal) file or \
+             $(i,state-dir)/store.log) or a job WAL, told apart by the header line: \
+             record count, trailing corruption (the half-record a crash legitimately \
+             leaves — tolerated), and torn records (unparseable lines $(i,before) the \
+             last good one — exit status 1).")
   in
   let run path verify =
     if verify then begin
@@ -594,19 +610,7 @@ let journal_cmd =
       let d =
         if is Store.codec then scan "store log" Store.codec
         else if is Wal.codec then scan "job WAL" Wal.codec
-        else
-          match Journal.verify ~path with
-          | Error why ->
-              prerr_endline ("craft: " ^ why);
-              exit 1
-          | Ok (r : Journal.verify_report) ->
-              Format.printf "%s: %d record(s), %d distinct digest(s)@." path r.records
-                r.distinct;
-              List.iter (fun (label, n) -> Format.printf "  %-8s %d@." label n) r.verdicts;
-              List.iter
-                (fun (d, n) -> Format.printf "duplicate digest: %s (%d records)@." d n)
-                r.duplicates;
-              { Durable_log.records = r.records; bad = r.bad; trailing_bad = r.trailing_bad }
+        else or_die (Error (path ^ ": not a store log or a job WAL (unknown header line)"))
       in
       if d.trailing_bad > 0 then
         Format.printf
@@ -621,33 +625,13 @@ let journal_cmd =
         exit 1
       end
     end
-    else begin
-      let records = Journal.scan ~path in
-      let tally = Hashtbl.create 8 in
-      List.iter
-        (fun (_, v) ->
-          let l = Verdict.verdict_label v in
-          Hashtbl.replace tally l (1 + Option.value ~default:0 (Hashtbl.find_opt tally l)))
-        records;
-      Format.printf "%s: %d record(s)@." path (List.length records);
-      List.iter
-        (fun label ->
-          match Hashtbl.find_opt tally label with
-          | Some n -> Format.printf "  %-8s %d@." label n
-          | None -> ())
-        [ "pass"; "fail"; "trap"; "timeout"; "crash"; "pruned" ];
-      match List.rev records with
-      | (digest, v) :: _ ->
-          Format.printf "last record: %s (%s)@." digest (Verdict.verdict_label v)
-      | [] -> ()
-    end
+    else print_tally path
   in
   Cmd.v
     (Cmd.info "journal"
        ~doc:
-         "Inspect an evaluation journal: per-verdict counts and the digest of the last \
-          record (read-only); $(b,--verify) scans a journal, store log or job WAL for \
-          damage")
+         "Inspect the log of a $(b,craft search --journal) campaign: per-verdict counts \
+          (read-only); $(b,--verify) scans a store log or job WAL for damage")
     Term.(const run $ path_arg $ verify_arg)
 
 let store_cmd =
@@ -676,18 +660,7 @@ let store_cmd =
           prerr_endline ("craft: " ^ why);
           exit 1
     end
-    else begin
-      let records = Store.scan ~path in
-      let tally = Hashtbl.create 8 in
-      List.iter
-        (fun (_, v) ->
-          let l = Verdict.verdict_label v in
-          Hashtbl.replace tally l (1 + Option.value ~default:0 (Hashtbl.find_opt tally l)))
-        records;
-      Format.printf "%s: %d record(s)@." path (List.length records);
-      List.iter (fun (label, n) -> Format.printf "  %-8s %d@." label n)
-        (Hashtbl.fold (fun k n acc -> (k, n) :: acc) tally [] |> List.sort compare)
-    end
+    else print_tally path
   in
   Cmd.v
     (Cmd.info "store"
@@ -761,7 +734,7 @@ let serve_cmd =
       & info [ "state-dir" ] ~docv:"DIR"
           ~doc:
             "Root for the durable state that survives a daemon death: the cross-campaign \
-             store log, the job-table WAL, and per-job journal/result files. A restarted \
+             store log, the job-table WAL, and per-job result files. A restarted \
              daemon replays the store and the WAL and re-runs unfinished jobs against the \
              store; an exclusive lock refuses a second live daemon. Empty string disables \
              persistence.")

@@ -3,7 +3,7 @@
    One traced native run maintains a single-precision shadow next to every
    double value and prices each instruction's sensitivity; the search then
    starts from the predicted configuration, walks the frontier most-tolerant
-   first, and skips (journaling, never silently) candidates predicted to be
+   first, and skips (logging, never silently) candidates predicted to be
    hopeless — reaching the same final configuration in far fewer
    instrumented evaluations.
 

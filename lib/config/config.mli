@@ -80,8 +80,8 @@ val parse : Ir.program -> string -> (t, string) result
 val digest : Ir.program -> t -> string
 (** Stable 16-hex-digit fingerprint of the configuration's {e effective}
     per-candidate flags. Two configurations with the same observable
-    behaviour under [effective] share a digest, which is what the
-    evaluation journal keys on. *)
+    behaviour under [effective] share a digest, which is the last
+    component of every result-store key. *)
 
 val summarize : t -> string
 (** One-line rendering of the explicitly flagged structures in the Fig. 3

@@ -363,8 +363,8 @@ module Breadth_first = struct
         let batch, rest = pop_batch ctx (max 1 ctx.options.workers) queue in
         (* shadow pruning: an item whose predicted divergence exceeds the
            hard bound is treated as a failure without spending an
-           evaluation — the skip is journaled as a [Pruned] verdict (never
-           silent) and the item still descends, so finer-grained candidates
+           evaluation — the skip is logged and counted (never silent) and
+           the item still descends, so finer-grained candidates
            below it are never lost. Items containing flips score infinity
            and are never pruned. *)
         let st, notes, kept =

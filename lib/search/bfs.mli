@@ -28,10 +28,10 @@
     TIMEOUT / CRASH verdict in the log, never the campaign's death.
 
     A killed or stopped campaign resumes one way: it is run again from
-    the start while a verdict memo — the {!Journal} inline, the result
-    store in the campaign server — serves every verdict it already
-    holds, so the re-walk repeats the interrupted campaign's waves
-    without re-evaluating them. *)
+    the start while the result store ([Store], opened by [craft search
+    --journal] inline and shared by the campaign server) serves every
+    verdict it already holds, so the re-walk repeats the interrupted
+    campaign's waves without re-evaluating them. *)
 
 exception Aborted
 (** The one exception evaluation containment re-raises: raising it from an
@@ -113,8 +113,9 @@ type shadow_opts = {
           unreliable). [None] disables pruning. *)
   on_pruned : Config.t -> float -> unit;
       (** called for every pruned candidate with its configuration and
-          predicted divergence — wire to {!Journal.record} with
-          [Verdict.Pruned] so pruned candidates stay visible *)
+          predicted divergence (default: nothing; every prune is already
+          a [PRUNED] line of the search log and counted in
+          [result.pruned]) *)
 }
 
 val shadow :

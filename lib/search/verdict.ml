@@ -14,7 +14,7 @@ let verdict_label = function
   | Crashed _ -> "crash"
   | Pruned _ -> "pruned"
 
-(* percent-escape the characters the journal format reserves *)
+(* percent-escape the characters the store and WAL line formats reserve *)
 let escape s =
   let buf = Buffer.create (String.length s) in
   String.iter

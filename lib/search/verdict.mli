@@ -3,8 +3,7 @@
     The verdict taxonomy and its total classifier live below every other
     search module so that {!Pool} (worker supervision), {!Bfs} (evaluation
     containment) and {!Harness} (retries, counters) can all speak the same
-    language without a dependency cycle. {!Harness} re-exports everything
-    here; existing code using [Harness.Pass] etc. is unaffected. *)
+    language without a dependency cycle. *)
 
 type verdict =
   | Pass  (** ran to completion and verified *)
@@ -20,9 +19,10 @@ type verdict =
   | Pruned of string
       (** the candidate was never evaluated: the shadow-value analysis
           predicted its divergence above the configured hard bound and the
-          search skipped it. Recorded in the journal so a pruned candidate
-          is always visible, never silently dropped; only produced by
-          shadow-guided search, never by {!classify}. *)
+          search skipped it. A prune is reported in the search log and the
+          result's prune count, never stored as a verdict; the token stays
+          decodable because older store logs hold it. Never produced by
+          {!classify}. *)
 
 val verdict_label : verdict -> string
 (** Short class label: ["pass"], ["fail"], ["trap"], ["timeout"],
@@ -31,7 +31,7 @@ val verdict_label : verdict -> string
 val verdict_to_string : verdict -> string
 (** Compact single-token serialization (no spaces; payloads are
     percent-escaped), e.g. ["trap:0x00001f:injected%20fault"]. Used by the
-    {!Journal}. *)
+    store log and the wire protocol. *)
 
 val verdict_of_string : string -> verdict option
 (** Inverse of {!verdict_to_string}; [None] on malformed input. *)
@@ -54,7 +54,7 @@ val classify_exn : exn -> verdict
     the rest. *)
 
 val escape : string -> string
-(** Percent-escape the characters the journal, store and WAL line formats
+(** Percent-escape the characters the store and WAL line formats
     reserve (space, [%], [|], [:], tab, CR, LF). *)
 
 val unescape : string -> string option

@@ -33,7 +33,7 @@
     everything else (duplicates, stale leases, reclaimed items,
     unparseable verdicts) is counted and ignored. Combined with the
     {!Store}'s in-flight dedup — {!eval} runs inside [find_or_compute],
-    so each store key reaches the fleet at most once — the journal sees
+    so each store key reaches the fleet at most once — the store records
     no lost and no duplicate verdicts under chaos. *)
 
 type options = {

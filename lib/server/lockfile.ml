@@ -37,7 +37,7 @@ let acquire ~dir =
           Error
             (Printf.sprintf
                "state dir %s is locked by another live daemon%s; refusing to interleave \
-                writes into its journals"
+                writes into its logs"
                dir holder)
       | exception Unix.Unix_error (e, _, _) ->
           (try Unix.close fd with Unix.Unix_error _ -> ());

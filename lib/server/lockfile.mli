@@ -1,7 +1,7 @@
 (** Exclusive state-dir lock for [craft serve].
 
     Two daemons on one [--state-dir] would silently interleave appends
-    into the same store log, WAL and per-job journals; this lock makes the
+    into the same store log, WAL and per-job results; this lock makes the
     second one refuse to start with a clear error instead.
 
     The exclusion is an [fcntl(2)] record lock ([Unix.lockf F_TLOCK]) on

@@ -23,7 +23,6 @@ type job = {
   mutable n_events : int;
   stop : bool Atomic.t;
   mutable deaths : int;  (* driver crashes so far *)
-  mutable recovered : bool;  (* requeued by WAL replay after a daemon death *)
   mutable config_text : string;
   mutable summary : string;
 }
@@ -74,49 +73,23 @@ let status_of j =
 
 (* ------------------------------------------------------------- campaigns *)
 
-(* Everything an evaluation verdict depends on besides the program and the
-   candidate config: the step budget and the backend. Two jobs that differ
-   here may legitimately disagree on a timeout verdict, so they must not
-   share store entries. *)
-let opts_digest (spec : Wire.job_spec) =
-  Printf.sprintf "steps=%s;backend=compiled"
-    (match spec.Wire.eval_steps with None -> "default" | Some n -> string_of_int n)
-
 (* Run one campaign for [j]. Returns the job's terminal state. Called
    without the lock; takes it only for counters and events. *)
 let run_campaign t j =
   let k = j.kernel in
-  let resumed = j.deaths > 0 || j.recovered in
   let target =
     Kernel.target ?eval_steps:j.spec.Wire.eval_steps ~cache:t.cache k
   in
   let harness, target = Harness.wrap_target ~retries:t.opts.retries target in
   let program_key = Store.program_key k.Kernel.program in
-  let opts_digest = opts_digest j.spec in
-  let journal =
-    Option.map
-      (fun root ->
-        Journal.create ~resume:resumed
-          ~path:(Filename.concat (Filename.concat root j.id) "journal")
-          k.Kernel.program)
-      t.opts.state_dir
-  in
-  (* the job journal is an audit trail beside the store, which holds the
-     verdicts a resume is served from; each record is fsynced at once *)
-  let record cfg verdict =
-    Option.iter
-      (fun jr ->
-        Journal.record jr cfg verdict;
-        Journal.sync jr)
-      journal
-  in
+  let context = Store.context ?eval_steps:j.spec.Wire.eval_steps k in
   let eval cfg =
     let config_digest = Config.digest k.Kernel.program cfg in
-    let key = Store.key ~program_key ~opts_digest ~config_digest in
+    let key = Store.key ~program_key ~context ~config_digest in
     (* fleet offload happens inside the store's compute closure: only
        store misses reach the fleet, and the store's in-flight dedup
        guarantees at most one fleet item per key — which is what keeps
-       the journal free of lost and duplicate verdicts under chaos *)
+       the store free of lost and duplicate verdicts under chaos *)
     let remote = ref false in
     let compute () =
       match t.fleet with
@@ -145,7 +118,6 @@ let run_campaign t j =
           (Verdict.verdict_label verdict)
           (Config.summarize cfg)
           (if served then " [store]" else if !remote then " [fleet]" else ""));
-    record cfg verdict;
     verdict = Verdict.Pass
   in
   let target = { target with Bfs.Target.eval } in
@@ -159,11 +131,7 @@ let run_campaign t j =
           k.Kernel.program
       in
       let (_ : Vm.t) = Shadow_tracer.trace tracer ~setup:k.Kernel.setup in
-      let report = Shadow_report.make ~base:k.Kernel.hints k.Kernel.program tracer in
-      let on_pruned cfg div =
-        record cfg (Verdict.Pruned (Printf.sprintf "shadow predicted divergence %.3e" div))
-      in
-      Some (Bfs.shadow ~on_pruned report)
+      Some (Bfs.shadow (Shadow_report.make ~base:k.Kernel.hints k.Kernel.program tracer))
     end
   in
   let formats =
@@ -195,11 +163,10 @@ let run_campaign t j =
     | Ok tok -> tok
     | Error _ -> Strategy.Bfs
   in
-  let finally () = Option.iter Journal.close journal in
-  (* Strategy.run with Bfs IS Bfs.search — same moves, same journal; the
-     other strategies drive the same wrapped eval path (store, fleet
-     offload, journal) through their wave machines *)
-  let res = Fun.protect ~finally (fun () -> Strategy.run ~options strategy target) in
+  (* Strategy.run with Bfs IS Bfs.search — same moves; the other
+     strategies drive the same wrapped eval path (store, fleet offload)
+     through their wave machines *)
+  let res = Strategy.run ~options strategy target in
   let summary =
     Printf.sprintf
       "tested %d (%d from store), static %.1f%%, dynamic %.1f%%, %d bits saved, final %s"
@@ -364,7 +331,6 @@ let recover t root wal_path =
                   n_events = 0;
                   stop = Atomic.make false;
                   deaths = 0;
-                  recovered = false;
                   config_text = "";
                   summary = "";
                 }
@@ -379,7 +345,6 @@ let recover t root wal_path =
                   event t j "RECOVERED %s (daemon restarted on this state dir)"
                     (state_label state)
               | None ->
-                  j.recovered <- true;
                   event t j
                     "RECOVERED requeued after daemon death; will resume from the store"))
         entries;
@@ -470,7 +435,6 @@ let submit t spec =
                 n_events = 0;
                 stop = Atomic.make false;
                 deaths = 0;
-                recovered = false;
                 config_text = "";
                 summary = "";
               }

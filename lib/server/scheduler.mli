@@ -1,12 +1,13 @@
 (** The campaign scheduler: many concurrent searches, one shared substrate.
 
-    Each submitted {!Wire.job_spec} becomes a job with a per-job journal,
-    an event stream, and a priority. [max_concurrent] runner threads
+    Each submitted {!Wire.job_spec} becomes a job with an event stream
+    and a priority. [max_concurrent] runner threads
     drive the campaigns; every candidate evaluation flows
     through the one shared {!Pool} (so the machine's worker domains are a
     single resource, not per-campaign fleets), compiled blocks land in the
     one shared {!Compile.cache}, and verdicts are memoized in the
-    cross-campaign {!Store} — identical evaluations submitted by different
+    cross-campaign {!Store}, keyed under {!Store.context} (the kernel's
+    input and the job's step budget) — identical evaluations submitted by different
     clients run once, server-wide.
 
     Failure containment mirrors {!Pool}'s semantics one level up: an
@@ -26,9 +27,7 @@
     ones are re-queued and re-walk their campaigns against the replayed
     store exactly as after a driver death. Combined with a durable
     {!Store} a [kill -9]'d daemon restarted on the same state dir loses no
-    verdicts and no campaigns. The per-job journal is an audit trail of
-    the job's verdicts, fsynced after every record; a resumed job
-    appends to it but is served by the store, never by it.
+    verdicts and no campaigns.
 
     Cancellation and drain are cooperative through {!Bfs}'s wave-boundary
     stop: a cancelled (or drain-interrupted) job ends [Cancelled] with the
@@ -40,9 +39,8 @@ type options = {
   retries : int;  (** harness retry budget per evaluation *)
   quarantine_after : int;  (** driver deaths before a job is quarantined *)
   state_dir : string option;
-      (** root for the job-table WAL and per-job [journal] / [result]
-          files; [None] keeps jobs journal-less and the job table
-          memory-only (tests) *)
+      (** root for the job-table WAL and the per-job [result] files;
+          [None] keeps the job table memory-only (tests) *)
 }
 
 val default_options : options

@@ -12,8 +12,8 @@ type cell =
 
 type record = { key : string; verdict : Verdict.verdict; seq : int }
 
-(* Keys are compound ([program_key/opts_digest/Config.digest]) so unlike
-   journal digests they are escaped. *)
+(* Keys are compound ([program_key/context/Config.digest]), so they are
+   escaped. *)
 let codec =
   {
     Durable_log.header = "# craft-store v1";
@@ -72,8 +72,36 @@ let create ?path ?(fsync_every = 32) () =
     seq;
   }
 
-let key ~program_key ~opts_digest ~config_digest =
-  String.concat "/" [ program_key; opts_digest; config_digest ]
+let open_journal ~resume ~path =
+  let foreign () =
+    match In_channel.with_open_bin path In_channel.input_line with
+    | Some line -> String.trim line <> codec.Durable_log.header
+    | None -> false (* empty: a crash before the header was written *)
+  in
+  try
+    match (resume, Sys.file_exists path) with
+    | false, exists ->
+        if exists then Sys.remove path;
+        Ok (create ~path ~fsync_every:0 ())
+    | true, true when foreign () ->
+        Error
+          (Printf.sprintf
+             "%s does not start with %S: it was not written by this version's \
+              --journal; rerun without --resume to start a fresh log"
+             path codec.Durable_log.header)
+    | true, _ -> Ok (create ~path ~fsync_every:0 ())
+  with Sys_error why -> Error why
+
+let key ~program_key ~context ~config_digest =
+  String.concat "/" [ program_key; context; config_digest ]
+
+(* 16-hex-digit FNV-1a over the strings [feed] hands to its argument. *)
+let fnv1a feed =
+  let h = ref 0xcbf29ce484222325L in
+  feed
+    (String.iter (fun c ->
+         h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L));
+  Printf.sprintf "%016Lx" !h
 
 (* The program key: FNV-1a over the id of every node of the structure
    tree, preorder. Every key of every store log on disk starts with it, so
@@ -89,19 +117,27 @@ let children = function
   | Static.Insn _ -> []
 
 let program_key program =
-  let h = ref 0xcbf29ce484222325L in
-  let mix s =
-    String.iter
-      (fun c ->
-        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-      s
+  fnv1a (fun mix ->
+      let rec walk node =
+        mix (node_id node);
+        List.iter walk (children node)
+      in
+      List.iter walk (Static.tree program))
+
+(* A NAS kernel's program is the same at every class; only its input
+   differs. The name carries the class and the reference digest pins the
+   data the verification routine compares against. *)
+let context ?eval_steps ?(backend = Compile.Compiled) ?inject (k : Kernel.t) =
+  let reference =
+    fnv1a (fun mix ->
+        Array.iter (fun x -> mix (Printf.sprintf "%016Lx" (Int64.bits_of_float x))) k.reference)
   in
-  let rec walk node =
-    mix (node_id node);
-    List.iter walk (children node)
-  in
-  List.iter walk (Static.tree program);
-  Printf.sprintf "%016Lx" !h
+  String.concat ";"
+    (Printf.sprintf "steps=%s;backend=%s;input=%s;reference=%s"
+       (match eval_steps with None -> "default" | Some n -> string_of_int n)
+       (match backend with Compile.Compiled -> "compiled" | Compile.Interp -> "interp")
+       k.name reference
+    :: Option.to_list (Option.map (fun spec -> "inject=" ^ Faults.to_string spec) inject))
 
 (* Lock held. *)
 let persist t key verdict =
@@ -149,6 +185,15 @@ let find_or_compute t ~key f =
         (v, false)
   in
   claim false
+
+let wrap_target t ~context ~harness (target : Bfs.Target.t) =
+  let program = target.Bfs.Target.program in
+  let program_key = program_key program in
+  let eval cfg =
+    let key = key ~program_key ~context ~config_digest:(Config.digest program cfg) in
+    fst (find_or_compute t ~key (fun () -> Harness.eval harness cfg)) = Verdict.Pass
+  in
+  { target with Bfs.Target.eval }
 
 (* ------------------------------------------------------------ compaction *)
 

@@ -1,19 +1,20 @@
-(** The cross-campaign evaluation result store.
+(** The evaluation result store: the one verdict memo.
 
-    The {!Journal} memoizes verdicts {e within} one campaign; the code
-    cache shares compiled blocks across evaluations. This store is the
-    serving-layer third leg: verdicts memoized {e across} campaigns and
-    clients, keyed by everything a verdict depends on —
+    Every verdict a campaign earns is memoized here, keyed by everything
+    it depends on —
 
-    {v (program key, eval-options digest, Config.digest) v}
+    {v program_key / context / Config.digest v}
 
     where the program key is {!program_key} (the structural fingerprint
-    of the candidate tree), the eval-options digest covers the
-    step budget and backend (two jobs with different budgets may
-    legitimately disagree on a timeout verdict), and {!Config.digest}
-    identifies the candidate's effective per-instruction flags. Two
-    clients submitting overlapping campaigns against one program evaluate
-    each shared candidate once, server-wide.
+    of the candidate tree), the context is {!context} (the input the
+    kernel is verified on, the step budget, the backend, and an inline
+    campaign's fault-injection spec: two campaigns that differ there may
+    legitimately disagree on a verdict) and {!Config.digest} identifies
+    the candidate's effective per-instruction flags. The campaign daemon
+    shares one store across campaigns and clients, so overlapping
+    campaigns evaluate each shared candidate once, server-wide; an inline
+    [craft search --journal FILE] keeps one store per campaign on disk
+    ({!open_journal}).
 
     Lookups deduplicate {e in flight}: while a key is being computed, a
     second requester blocks on it instead of recomputing — so even two
@@ -23,9 +24,9 @@
     With [?path], the store is {e durable}: every fresh verdict is appended
     to a {!Durable_log} (one escaped-key line per verdict,
     [<key> <verdict-token> <seq>]) that {!create} replays into the table,
-    so a daemon SIGKILLed mid-campaign restarts with every verdict it ever
-    computed. {!compact} rewrites a log grown across many daemon
-    lifetimes. *)
+    so a campaign or daemon SIGKILLed mid-run restarts with every verdict
+    it ever computed, and a re-walk of the campaign is served from it.
+    {!compact} rewrites a log grown across many daemon lifetimes. *)
 
 type t
 
@@ -46,12 +47,37 @@ val create : ?path:string -> ?fsync_every:int -> unit -> t
     every fresh verdict to it. [fsync_every] (default 32) is the log's
     fsync policy: 1 syncs per record, 0 never syncs (flush only). *)
 
-val key : program_key:string -> opts_digest:string -> config_digest:string -> string
+val open_journal : resume:bool -> path:string -> (t, string) result
+(** The durable store of one inline campaign, [craft search --journal
+    FILE]: every record flushed, fsync at {!close}. Without [resume] an
+    existing [path] is removed first. With [resume] its verdicts are
+    replayed, unless its first line is not this store's header (a file
+    written by another tool or an older journal format): then [Error],
+    and the file is left untouched. *)
+
+val key : program_key:string -> context:string -> config_digest:string -> string
 (** Compose the canonical store key. *)
 
 val program_key : Ir.program -> string
 (** 16-hex-digit FNV-1a fingerprint of the program's structure tree: the
     first component of every key. *)
+
+val context :
+  ?eval_steps:int -> ?backend:Compile.backend -> ?inject:Faults.spec -> Kernel.t -> string
+(** The middle component of every key of one campaign, computed once per
+    campaign: the kernel's input (its name, which carries the class, e.g.
+    [ep.A], and a digest of its reference output), the step budget
+    (default: the target's), the backend (default compiled) and, inline,
+    the fault-injection spec. A verdict earned under one context is never
+    served under another: a campaign at class A misses every class-W
+    verdict, and one under another step budget misses every verdict of
+    the budgeted run. *)
+
+val wrap_target : t -> context:string -> harness:Harness.t -> Bfs.Target.t -> Bfs.Target.t
+(** The inline campaign's evaluation path: [eval] looks the configuration
+    up under [context] and, on a miss, evaluates it through
+    {!Harness.eval} and records the verdict, then folds it to the
+    search's boolean view. *)
 
 val find_or_compute : t -> key:string -> (unit -> Verdict.verdict) -> Verdict.verdict * bool
 (** [find_or_compute t ~key f] returns the memoized verdict for [key],

@@ -104,8 +104,6 @@ let append t r =
         if t.fsync_every > 0 && t.unsynced >= t.fsync_every then sync_now t
       end)
 
-let sync t = Mutex.protect t.lock (fun () -> if not t.closed then sync_now t)
-
 let close t =
   Mutex.protect t.lock (fun () ->
       if not t.closed then begin

@@ -1,6 +1,6 @@
 (** Crash-safe append-only record logs and atomic file replacement: the
-    durability code under the journal, the result-store log, the job WAL
-    and job results, written once.
+    durability code under the result-store log (the daemon's and an inline
+    [--journal] campaign's), the job WAL and job results, written once.
 
     A log is a text file: a header line, then one record per line. Decoding
     is total, so a line that does not decode — the half-written tail of an
@@ -39,18 +39,15 @@ val create : ?fsync_every:int -> 'a codec -> path:string -> 'a t * 'a list
     this gets the header.
 
     [fsync_every] (default 0) is the fsync policy: every [n]-th append is
-    fsynced, or none for 0 (callers then {!sync} at their own durability
-    points). The header and the repair follow the same policy. *)
+    fsynced, or none for 0 (the log is then fsynced only at {!close}).
+    The header and the repair follow the same policy. *)
 
 val append : 'a t -> 'a -> unit
 (** Write one record and flush it; fsync per the policy. Thread-safe. A
     closed log drops the record. *)
 
-val sync : 'a t -> unit
-(** Flush and fsync now. A no-op on a closed log. *)
-
 val close : 'a t -> unit
-(** {!sync}, then close. Idempotent. *)
+(** Flush, fsync, then close. Idempotent. *)
 
 val replace : path:string -> (out_channel -> unit) -> unit
 (** Atomically replace [path] by what the writer emits: write

@@ -1,9 +1,11 @@
 (* The exact bytes of every durable writer. [record dir] drives the
-   journal, the result-store log and its compaction, and the job-table WAL
-   through a fixed script inside [dir] and returns each file as
-   [(name, bytes)]. The copies committed under fixture/ pin what the
-   writers emit; the recovery suite re-records them and compares byte for
-   byte. *)
+   result-store log and its compaction, and the job-table WAL through a
+   fixed script inside [dir] and returns each file as [(name, bytes)]. The
+   copies committed under fixture/ pin what the writers emit; the recovery
+   suite re-records them and compares byte for byte. fixture/journal is
+   the last file the retired [# craft-journal v1] writer emitted; nothing
+   writes it any more, and the formats suite checks that a resume refuses
+   it. *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -11,40 +13,6 @@ let append_raw path s =
   let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
   output_string oc s;
   close_out oc
-
-(* four const+add chains in module "syn", as in the search tests *)
-let program () =
-  let t = Builder.create () in
-  let out = Builder.alloc_f t 4 in
-  let main =
-    Builder.func t ~module_:"syn" "main" ~nf_args:0 ~ni_args:0 (fun b _ _ ->
-        for k = 0 to 3 do
-          let c = Builder.fconst b 0.5 in
-          Builder.storef b (Builder.at (out + k)) (Builder.fadd b c c)
-        done)
-  in
-  Builder.program t ~main
-
-(* written fresh, then resumed: the second life continues the sequence
-   column and never re-appends a digest the first life recorded *)
-let journal dir =
-  let prog = program () in
-  let path = Filename.concat dir "journal" in
-  let cands = Static.candidates prog in
-  let insn i flag = Config.set_insn Config.empty cands.(i).Static.addr flag in
-  let j = Journal.create ~path prog in
-  Journal.record j Config.empty Verdict.Pass;
-  Journal.record j (insn 0 Config.Single) (Verdict.Trapped (0x1f, "operand | 100% odd"));
-  Journal.record j (Config.set_module Config.empty "syn" Config.Single) Verdict.Fail_verify;
-  Journal.record j (insn 0 Config.Single) Verdict.Fail_verify;
-  Journal.close j;
-  let j = Journal.create ~resume:true ~path prog in
-  Journal.record j (insn 1 (Config.Fmt Formats.bfloat16)) Verdict.Step_timeout;
-  Journal.record j Config.empty Verdict.Fail_verify;
-  Journal.record j (insn 2 Config.Single) (Verdict.Crashed "boom: with spaces");
-  Journal.record j (insn 3 (Config.Fmt Formats.half)) (Verdict.Pruned "shadow said so");
-  Journal.close j;
-  [ ("journal", read_file path) ]
 
 (* two daemon lifetimes batching fsyncs by 2, keys that need escaping,
    then an offline compaction after a hand-appended duplicate and a torn
@@ -123,4 +91,4 @@ let wal dir =
   Wal.close w;
   [ ("jobs.wal", read_file path) ]
 
-let record dir = journal dir @ store dir @ wal dir
+let record dir = store dir @ wal dir

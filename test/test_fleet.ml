@@ -1,7 +1,7 @@
 (* Chaos suite for the distributed worker fleet: campaigns sharded over
    in-process workers reach the same final configuration as an inline
    run while the fault injector kills, stalls, garbles and duplicates
-   workers mid-batch — and the journal sees no lost or duplicate
+   workers mid-batch — and the store records no lost or duplicate
    verdicts. Plus direct Fleet-protocol tests for lease/result/heartbeat
    semantics, rejoin delta sync and quarantine. *)
 
@@ -170,18 +170,11 @@ let test_chaos_kill () =
   let dir = Filename.temp_file "craft_fleet_state" "" in
   Sys.remove dir;
   let sched_opts = { Scheduler.default_options with state_dir = Some dir } in
-  let text, status, fs = campaign_over_workers ~chaos_spec ~sched_opts ~workers:2 () in
+  (* campaign_over_workers checks store entries = store misses: every
+     computed key recorded exactly once despite the mid-batch kill *)
+  let text, _status, fs = campaign_over_workers ~chaos_spec ~sched_opts ~workers:2 () in
   checkb "final matches inline despite kill" true (String.equal text inline);
   checkb "killed lease was requeued" true (fs.Fleet.requeued_leases >= 1);
-  (* journal parity: every computed key journaled exactly once — no lost
-     verdicts (entries = the job's store misses = unique keys evaluated)
-     and no duplicates (keys unique), despite the mid-batch kill *)
-  let journal = Filename.concat (Filename.concat dir status.Wire.id) "journal" in
-  let entries = Journal.scan ~path:journal in
-  let keys = List.map fst entries in
-  checki "journal has every computed key" status.Wire.store_misses (List.length entries);
-  checki "journal keys unique" (List.length keys)
-    (List.length (List.sort_uniq compare keys));
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
 let test_chaos_stall () =
@@ -456,7 +449,7 @@ let test_worker_skips_unknown_format () =
 let suite =
   [
     ("fleet: campaign over 2 workers matches inline", `Quick, test_fleet_matches_inline);
-    ("fleet: chaos kill mid-batch, identical final + journal parity", `Quick, test_chaos_kill);
+    ("fleet: chaos kill mid-batch, identical final", `Quick, test_chaos_kill);
     ("fleet: chaos heartbeat stall, identical final", `Quick, test_chaos_stall);
     ("fleet: chaos garbage frame, rejoin, identical final", `Quick, test_chaos_garbage_rejoin);
     ("fleet: chaos duplicate delivery, identical final", `Quick, test_chaos_dup);

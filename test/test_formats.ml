@@ -4,11 +4,10 @@
    bfloat16 vectors (subnormals, overflow boundaries, NaN payloads), and
    the existing binary32 emulation at (8, 23). Then the lattice's
    integration seams: Config flag tokens and digests (pre-lattice
-   byte-compatibility is load-bearing for every old journal and store
-   log), the exchange-text parser's hard rejection of unknown format
-   tokens, interpreter/compiled bit-identity under every named format, the
-   shadow tracer's format shadows, and journal replay of pre-lattice
-   artifacts. *)
+   byte-compatibility is load-bearing for every old store log), the
+   exchange-text parser's hard rejection of unknown format tokens,
+   interpreter/compiled bit-identity under every named format, the shadow
+   tracer's format shadows, and the refusal of a retired journal log. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -315,8 +314,7 @@ let synthetic_program () =
   in
   Builder.program t ~main
 
-(* Pre-lattice digest compatibility. Old journals and store logs key on
-   this digest, so for configurations that only use s/d/i it
+(* Pre-lattice digest compatibility. Store logs key on this digest, so for configurations that only use s/d/i it
    must forever equal the original FNV-1a over (addr, flag char) —
    reimplemented here from the pre-lattice definition, independently of
    Config.digest's token-based generalization. *)
@@ -521,49 +519,35 @@ let test_shadow_format () =
   let b = Shadow_tracer.all_format Formats.single prog in
   checks "all_format single = all_single" (Config.digest prog a) (Config.digest prog b)
 
-(* ------------------------------------------------- pre-lattice replay compat *)
+(* ------------------------------------------------------ retired journal *)
 
-let test_journal_replay_compat () =
-  let prog = synthetic_program () in
-  let cands = Static.candidates prog in
-  (* the digests a pre-lattice campaign would have journaled *)
-  let cfg_single =
-    Array.fold_left
-      (fun acc (info : Static.insn_info) -> Config.set_insn acc info.Static.addr Config.Single)
-      Config.empty cands
+(* The committed fixture is the last log the [# craft-journal v1] writer
+   emitted. Its keys name neither the input nor the step budget, so a
+   resume refuses it rather than serve its verdicts, and leaves it
+   byte-unchanged. *)
+let test_v1_journal_refused () =
+  let fixture =
+    Filename.concat (Filename.dirname Sys.executable_name) "durable/fixture/journal"
   in
-  let d_empty = Config.digest prog Config.empty in
-  let d_single = Config.digest prog cfg_single in
+  let bytes = In_channel.with_open_bin fixture In_channel.input_all in
   let path = Filename.temp_file "craft_formats_journal" ".log" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      (* a journal written by the pre-lattice system: v1 header, bare
-         16-hex digests, verdict tokens, sequence numbers *)
-      let oc = open_out path in
-      Printf.fprintf oc "# craft-journal v1 syn\n";
-      Printf.fprintf oc "%s pass 1 | (all-double)\n" d_empty;
-      Printf.fprintf oc "%s fail 2 | s MODULE: syn\n" d_single;
-      output_string oc "garbage-trailing-half-record";
-      close_out oc;
-      let j = Journal.create ~resume:true ~path prog in
-      Fun.protect
-        ~finally:(fun () -> Journal.close j)
-        (fun () ->
-          checki "both records replayed" 2 (Journal.replayed j);
-          (match Journal.lookup j Config.empty with
-          | Some Verdict.Pass -> ()
-          | _ -> Alcotest.fail "all-double verdict lost on replay");
-          (match Journal.lookup j cfg_single with
-          | Some Verdict.Fail_verify -> ()
-          | Some v ->
-              Alcotest.failf "all-single verdict mangled: %s" (Harness.verdict_label v)
-          | None -> Alcotest.fail "all-single verdict lost on replay");
-          (* a lattice config is a miss, not a collision *)
-          let cfg_bf16 = all_flag_cfg (Config.of_format Formats.bfloat16) prog in
-          checkb "bf16 config not falsely memoized" true
-            (Journal.lookup j cfg_bf16 = None);
-          checki "replay hits counted" 2 (Journal.hits j)))
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      (match Store.open_journal ~resume:true ~path with
+      | Ok store ->
+          Store.close store;
+          Alcotest.fail "a v1 journal was opened for resume"
+      | Error why ->
+          let header = "# craft-store v1" in
+          let n = String.length header in
+          let rec names i =
+            i + n <= String.length why && (String.sub why i n = header || names (i + 1))
+          in
+          checkb "the refusal names the expected header" true (names 0));
+      checks "the file is byte-unchanged" bytes
+        (In_channel.with_open_bin path In_channel.input_all))
 
 let suite =
   [
@@ -586,5 +570,5 @@ let suite =
     ("formats: interp = compiled on cg.W and mg.W lattice configs", `Quick, test_differential_kernel_lattice);
     ("formats: menus on cg.W and mg.W", `Quick, test_menus_on_kernels);
     ("formats: shadow carries reduced-format shadows", `Quick, test_shadow_format);
-    ("formats: pre-lattice journal replays cleanly", `Quick, test_journal_replay_compat);
+    ("formats: v1 journal is refused by a resume", `Quick, test_v1_journal_refused);
   ]

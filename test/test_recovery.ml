@@ -321,8 +321,8 @@ let test_wal_loads_prelattice_lines () =
    opens [path] through it (resuming), appends [items] and closes; [read]
    and [decode] see records as the items that were written. [exact_torn]:
    a torn line that still decodes is always the record that was written
-   (true for the journal and the store; a WAL record cut inside its last
-   token can decode shortened). *)
+   (true for the store; a WAL record cut inside its last token can decode
+   shortened). *)
 type 'a writer = {
   write : string -> 'a list -> unit;
   read : string -> 'a list;
@@ -353,47 +353,6 @@ let store_writer =
     damage = (fun path -> snd (Durable_log.replay Store.codec ~path));
     exact_torn = true;
     items = QCheck2.Gen.pair (keys "o") (keys "f");
-  }
-
-(* items are (mask, verdict): the configuration making the masked
-   candidates single, so every mask has its own digest *)
-let journal_writer =
-  let prog, _ = Test_harness.synthetic ~n_ops:6 ~poison:[] () in
-  let cands = Static.candidates prog in
-  let config mask =
-    Array.to_list cands
-    |> List.filteri (fun i _ -> mask land (1 lsl i) <> 0)
-    |> List.fold_left
-         (fun cfg (c : Static.insn_info) -> Config.set_insn cfg c.Static.addr Config.Single)
-         Config.empty
-  in
-  let masks = List.init (1 lsl min 6 (Array.length cands)) Fun.id in
-  let mask_of = Hashtbl.create 64 in
-  List.iter (fun m -> Hashtbl.replace mask_of (Config.digest prog (config m)) m) masks;
-  let mask d = Option.value ~default:(-1) (Hashtbl.find_opt mask_of d) in
-  {
-    write =
-      (fun path items ->
-        let j = Journal.create ~resume:true ~path prog in
-        List.iter (fun (m, v) -> Journal.record j (config m) v) items;
-        Journal.close j);
-    read = (fun path -> List.map (fun (d, v) -> (mask d, v)) (Journal.scan ~path));
-    decode =
-      (fun line ->
-        Option.map
-          (fun r -> (mask r.Journal.digest, r.Journal.verdict))
-          (Journal.codec.Durable_log.decode line));
-    damage = (fun path -> snd (Durable_log.replay Journal.codec ~path));
-    exact_torn = true;
-    items =
-      QCheck2.Gen.(
-        map2
-          (fun shuffled (k, verdicts) ->
-            let masks = List.filteri (fun i _ -> i < List.length verdicts) shuffled in
-            let items = List.combine masks verdicts in
-            (List.filteri (fun i _ -> i < k) items, List.filteri (fun i _ -> i >= k) items))
-          (shuffle_l masks)
-          (pair (int_bound 8) (list_size (int_bound 16) verdict_gen)));
   }
 
 let wal_writer =
@@ -456,7 +415,7 @@ let check_torn_line w dir (original, fresh) (cut, splice, garbage) =
   let d = w.damage path in
   if d.Durable_log.bad <> 0 then fail "cut at %d: %d bad line(s) after the repair" cut d.bad;
   (* garbage lines spliced before line [at]; a "%zz" first field never
-     decodes: not a store key, a journal digest or a WAL verb *)
+     decodes: not a store key or a WAL verb *)
   Sys.remove path;
   w.write path original;
   let lines = String.split_on_char '\n' (read_file path) in
@@ -484,13 +443,12 @@ let fuzz_torn_line =
        ~name:"durable log: a torn or garbage line loses only itself, in every log"
        QCheck2.Gen.(
          pair
-           (triple journal_writer.items store_writer.items wal_writer.items)
+           (pair store_writer.items wal_writer.items)
            (triple (int_bound 10_000) small_nat garbage))
-       (fun ((j, s, w), crash) ->
+       (fun ((s, w), crash) ->
          let dir = temp_dir "craft_torn" in
          Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
-             check_torn_line journal_writer dir j crash
-             && check_torn_line store_writer dir s crash
+             check_torn_line store_writer dir s crash
              && check_torn_line wal_writer dir w crash)))
 
 (* Job results and compactions go through Durable_log.replace: the visible
@@ -521,47 +479,14 @@ let test_replace_partial_tmp () =
 
 (* ---------------------------------------------------------------- journal *)
 
+(* [craft journal --verify] reads a store log (inline or the daemon's) or
+   a WAL, picking the codec by the header line *)
 let test_journal_verify () =
-  let dir = temp_dir "craft_jverify" in
-  let path = Filename.concat dir "journal" in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
-      let digest i = Printf.sprintf "%016x" i in
-      let record i v = Printf.sprintf "%s %s %d | s MODULE: cg\n" (digest i) v i in
-      (* clean journal with one duplicate digest *)
-      write_file path
-        ("# craft-journal v1\n" ^ record 1 "pass" ^ record 2 "fail" ^ record 2 "fail");
-      (match Journal.verify ~path with
-      | Ok r ->
-          checki "records" 3 r.Journal.records;
-          checki "distinct" 2 r.Journal.distinct;
-          checki "one duplicate" 1 (List.length r.Journal.duplicates);
-          checkb "not torn" false r.Journal.torn;
-          checki "no bad lines" 0 r.Journal.bad
-      | Error why -> Alcotest.fail why);
-      (* crash truncation: unparseable suffix only *)
-      write_file path ("# craft-journal v1\n" ^ record 1 "pass" ^ digest 2);
-      (match Journal.verify ~path with
-      | Ok r ->
-          checki "one record" 1 r.Journal.records;
-          checki "trailing bad" 1 r.Journal.trailing_bad;
-          checkb "truncation is not torn" false r.Journal.torn
-      | Error why -> Alcotest.fail why);
-      (* mid-file corruption: a bad line before a good one *)
-      write_file path
-        ("# craft-journal v1\n" ^ record 1 "pass" ^ "scribbled!\n" ^ record 3 "pass");
-      (match Journal.verify ~path with
-      | Ok r ->
-          checkb "torn detected" true r.Journal.torn;
-          checki "bad but not trailing" 1 (r.Journal.bad - r.Journal.trailing_bad)
-      | Error why -> Alcotest.fail why);
-      (match Journal.verify ~path:(Filename.concat dir "nope") with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "verified a missing file");
-      (* [craft journal --verify] reads a store log or a WAL too, picking
-         the codec by the header line *)
-      match cli_path () with
-      | None -> ()
-      | Some cli ->
+  match cli_path () with
+  | None -> Alcotest.skip ()
+  | Some cli ->
+      let dir = temp_dir "craft_jverify" in
+      Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
           let verify file =
             let out = Filename.concat dir "verify.out" in
             let rc =
@@ -585,6 +510,66 @@ let test_journal_verify () =
           checki "torn WAL fails" 1 rc;
           checkb "WAL records" true (contains out "job WAL, 2 record(s)");
           checkb "WAL torn line counted" true (contains out "TORN: 1 "))
+
+(* The inline memo keys every verdict by the kernel's input: a class-W
+   log resumed at class A serves nothing, and the campaign writes ep.A's
+   run-alone final. A log in the retired journal format is refused and
+   left byte-unchanged. *)
+let test_journal_resume_across_classes () =
+  match cli_path () with
+  | None -> Alcotest.skip ()
+  | Some cli ->
+      let dir = temp_dir "craft_jclass" in
+      Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+          let file name = Filename.concat dir name in
+          let craft args =
+            Sys.command
+              (Printf.sprintf "%s %s > %s 2>&1" (Filename.quote cli) args
+                 (Filename.quote (file "out")))
+          in
+          (* "H hit(s), F fresh" from a search's journal line *)
+          let hits_fresh out =
+            let marker = " replayed, " in
+            let n = String.length marker in
+            let rec go i =
+              if i + n > String.length out then ""
+              else if String.sub out i n = marker then
+                match String.split_on_char ',' (String.sub out (i + n) (String.length out - i - n)) with
+                | hits :: fresh :: _ -> hits ^ "," ^ fresh
+                | _ -> ""
+              else go (i + 1)
+            in
+            go 0
+          in
+          let log = file "ep.log" in
+          checki "ep.W journaled" 0 (craft ("search ep -c W --journal " ^ Filename.quote log));
+          let w_records = List.length (Store.scan ~path:log) in
+          checki "ep.A resumed from the W log" 0
+            (craft
+               (Printf.sprintf "search ep -c A --journal %s --resume -o %s" (Filename.quote log)
+                  (Filename.quote (file "resumed.cfg"))));
+          let resumed = read_file (file "out") in
+          checki "ep.A alone" 0
+            (craft
+               (Printf.sprintf "search ep -c A --journal %s -o %s"
+                  (Filename.quote (file "alone.log"))
+                  (Filename.quote (file "alone.cfg"))));
+          let alone = read_file (file "out") in
+          checks "the resumed final is ep.A's run-alone final" (read_file (file "alone.cfg"))
+            (read_file (file "resumed.cfg"));
+          checkb "the W log was replayed" true
+            (w_records > 0 && contains resumed (Printf.sprintf ": %d replayed," w_records));
+          checks "no W verdict served: hits and fresh as run alone" (hits_fresh alone)
+            (hits_fresh resumed);
+          let v1 = file "v1.journal" in
+          let fixture =
+            read_file
+              (Filename.concat (Filename.dirname Sys.executable_name) "durable/fixture/journal")
+          in
+          write_file v1 fixture;
+          checki "a v1 journal is refused" 1
+            (craft ("search ep -c W --resume --journal " ^ Filename.quote v1));
+          checks "and left byte-unchanged" fixture (read_file v1))
 
 (* ------------------------------------------------------------ byte oracle *)
 
@@ -924,6 +909,8 @@ let suite =
       test_replace_partial_tmp;
     Alcotest.test_case "journal: --verify classifies truncation vs torn" `Quick
       test_journal_verify;
+    Alcotest.test_case "journal: a class-W log resumed at class A serves nothing" `Quick
+      test_journal_resume_across_classes;
     Alcotest.test_case "durable writers: bytes match the recorded fixture" `Quick
       test_durable_bytes;
     Alcotest.test_case "lockfile: acquire/release/stale-reclaim" `Quick test_lockfile;

@@ -221,6 +221,30 @@ let test_concurrent_campaigns_evaluate_once () =
       checki "every unique key computed once" s.Store.misses s.Store.entries;
       checkb "the racing campaign was served" true (s.Store.hits > 0))
 
+(* A NAS kernel's program is the same at every class, so the store key
+   names the input: an ep.A campaign after an ep.W one on the same store
+   is served none of W's verdicts and ends on ep.A's run-alone final. *)
+let test_store_keys_the_input () =
+  let resolve (spec : Wire.job_spec) =
+    match spec.Wire.cls with
+    | "W" -> Ok (Nas_ep.make Kernel.W)
+    | "A" -> Ok (Nas_ep.make Kernel.A)
+    | cls -> Error cls
+  in
+  let run sched cls =
+    let id = Result.get_ok (Scheduler.submit sched { default_spec with Wire.bench = "ep"; cls }) in
+    wait_done sched id
+  in
+  let alone, alone_text, _ = with_stack ~resolve (fun sched _ -> run sched "A") in
+  with_stack ~resolve (fun sched store ->
+      let _ = run sched "W" in
+      let after_w = (Store.stats store).Store.entries in
+      let status, text, _ = run sched "A" in
+      checkb "ep.W filled the store" true (after_w > 0);
+      checkb "ep.A final = ep.A run alone" true (String.equal alone_text text);
+      checki "tested as run alone" alone.Wire.tested status.Wire.tested;
+      checki "store hits as run alone" alone.Wire.store_hits status.Wire.store_hits)
+
 let test_priorities_and_cancel () =
   let k = synthetic_kernel ~delay:0.01 ~n_ops:6 ~poison:[ 0 ] () in
   let log_lock = Mutex.create () in
@@ -299,8 +323,11 @@ let test_poison_job_quarantine () =
             | Wire.Cancelled -> "cancelled"
             | Wire.Failed w -> "failed: " ^ w
             | _ -> "queued/running"));
-      (* the per-job state directory was created for the resume attempt *)
-      checkb "job state dir exists" true (Sys.file_exists (Filename.concat dir id)));
+      (* the quarantine is persisted: a restarted daemon re-lists it *)
+      checkb "quarantine recorded in the job WAL" true
+        (match List.assoc_opt id (Wal.replay (Wal.load ~path:(Filename.concat dir "jobs.wal"))) with
+        | Some { Wal.outcome = Some (Wire.Quarantined _, _); _ } -> true
+        | _ -> false));
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
 let test_resolve_rejection () =
@@ -477,6 +504,9 @@ let suite =
     ( "scheduler: racing identical campaigns evaluate each key once",
       `Quick,
       test_concurrent_campaigns_evaluate_once );
+    ( "scheduler: ep.A after ep.W on one store matches ep.A alone",
+      `Quick,
+      test_store_keys_the_input );
     ("scheduler: priorities and cancellation", `Quick, test_priorities_and_cancel);
     ("scheduler: poison job is quarantined", `Quick, test_poison_job_quarantine);
     ("scheduler: resolve rejection and unknown jobs", `Quick, test_resolve_rejection);

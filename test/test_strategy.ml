@@ -2,9 +2,9 @@
    bfs-token fidelity (Strategy.run Bfs replays the exact evaluation
    sequence of Bfs.search on fuzzed programs), split/delta/anneal sanity
    on known-answer synthetics, anneal fixed-seed determinism across the
-   sequential and pool evaluation paths, exact journal resume of a killed
-   campaign under every strategy, and the NAS bake-off: no strategy saves
-   fewer bits than BFS.
+   sequential and pool evaluation paths, exact resume of a killed
+   campaign from its [--journal] store log under every strategy, and the
+   NAS bake-off: no strategy saves fewer bits than BFS.
    [strategies_suite] holds the delta-debugging and greedy-sweep
    known answers. Byte-for-byte fidelity of every strategy to the
    two-driver recording is the replay suite's job (test_replay.ml). *)
@@ -227,7 +227,7 @@ let test_greedy_always_passes () =
 (* ------------------------------------------------------- journal resume *)
 
 (* A killed campaign resumes one way: it walks again from the start while
-   its journal serves every verdict the killed run recorded, so the
+   its store log serves every verdict the killed run recorded, so the
    resumed run is the uninterrupted campaign, configuration for
    configuration. The kills run sequentially: under a pool, [Aborted] is a
    worker death, which the pool requeues and quarantines, not the
@@ -247,10 +247,10 @@ let test_journal_resume_is_exact () =
             (fun () ->
               let journaled ~resume =
                 let harness, t = Harness.wrap_target target in
-                let j = Journal.create ~resume ~path program in
-                (j, Journal.wrap_target j ~harness t)
+                let store = Result.get_ok (Store.open_journal ~resume ~path) in
+                (store, Store.wrap_target store ~context:"syn" ~harness t)
               in
-              let j, t = journaled ~resume:false in
+              let store, t = journaled ~resume:false in
               let calls = ref 0 in
               let eval cfg =
                 incr calls;
@@ -259,10 +259,11 @@ let test_journal_resume_is_exact () =
               (match Strategy.run tok { t with Bfs.Target.eval } with
               | _ -> Alcotest.failf "%s: the kill did not abort the campaign" label
               | exception Bfs.Aborted -> ());
-              Journal.close j;
-              let j, t = journaled ~resume:true in
+              Store.close store;
+              let store, t = journaled ~resume:true in
               let r = Strategy.run tok t in
-              Journal.close j;
+              Store.close store;
+              let s = Store.stats store in
               checks (label ^ ": final")
                 (Config.digest program full.Bfs.final)
                 (Config.digest program r.Bfs.final);
@@ -270,12 +271,12 @@ let test_journal_resume_is_exact () =
               checkb (label ^ ": passing flags") true
                 (r.Bfs.passing_flags = full.Bfs.passing_flags);
               checkb (label ^ ": log") true (r.Bfs.log = full.Bfs.log);
-              checkb (label ^ ": journal replayed") true (Journal.replayed j > 0);
+              checkb (label ^ ": journal replayed") true (s.Store.replayed > 0);
               checkb
-                (Printf.sprintf "%s: fresh (%d) < tested (%d)" label (Journal.fresh j)
+                (Printf.sprintf "%s: fresh (%d) < tested (%d)" label s.Store.misses
                    r.Bfs.tested)
                 true
-                (Journal.fresh j < r.Bfs.tested)))
+                (s.Store.misses < r.Bfs.tested)))
         [ 2; 5 ])
     [ Strategy.Bfs; Strategy.Split; Strategy.Delta; Strategy.Anneal Strategy.default_seed ]
 
