@@ -146,9 +146,10 @@ let journal_arg =
         ~doc:
           "Keep the campaign's verdicts in a result-store log at $(docv) (every record \
            flushed, fsynced at exit), making the campaign crash-safe. Each verdict is \
-           keyed by the program, the kernel's input (benchmark and class), the step \
-           budget, the backend and the $(b,--inject) spec. Without $(b,--resume) the \
-           file is removed first.")
+           stored as the harness classified it (pass, fail, trap, timeout, crash; \
+           after its retries), keyed by the program, the kernel's input (benchmark and \
+           class), the step budget and the $(b,--inject) spec. Without $(b,--resume) \
+           the file is removed first.")
 
 let resume_arg =
   Arg.(
@@ -158,8 +159,8 @@ let resume_arg =
           "Replay the $(b,--journal) log before searching: the campaign is walked again \
            from the start and every verdict the log holds under the same key is served \
            from it, so an interrupted campaign continues instead of restarting. Verdicts \
-           earned under another class, step budget, backend or $(b,--inject) spec are \
-           not served. A file that is not a result-store log is refused. Requires \
+           earned under another class, step budget or $(b,--inject) spec are not \
+           served. A file that is not a result-store log is refused. Requires \
            $(b,--journal).")
 
 let retries_arg =
@@ -168,7 +169,8 @@ let retries_arg =
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "Retry budget per evaluation for flaky verdicts (trap, step-timeout, crash); \
-           each retry runs at once.")
+           each retry runs at once. A pass or a verification failure is final: the VM \
+           is deterministic, so another run would repeat it.")
 
 let eval_steps_arg =
   Arg.(
@@ -187,7 +189,10 @@ let inject_arg =
         ~doc:
           "Arm the deterministic fault injector around every evaluation, e.g. \
            $(b,seed=7,rate=0.2,modes=trap+hang+bitflip,transient) — a demo that the \
-           harness contains every failure mode.")
+           harness contains every failure mode. A silent fault (bitflip, corrupt) that \
+           makes verification fail is reported as a crash, so $(b,--retries) reruns it \
+           like any other injected fault; a genuine verification failure is never \
+           rerun.")
 
 let deadline_arg =
   Arg.(
@@ -238,26 +243,6 @@ let shadow_prune_arg =
            Candidates with observed control-flow flips are never pruned. A value <= 0 \
            disables pruning (default 1e-1).")
 
-let backend_arg =
-  Arg.(
-    value & opt string "compiled"
-    & info [ "backend" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine for candidate evaluations: $(b,compiled) (per-block closure \
-           compilation with a campaign-wide code cache; the default) or $(b,interp) (the \
-           reference interpreter). Both produce identical verdicts; evaluations with \
-           hooks installed (e.g. $(b,--inject)) fall back to the interpreter \
-           automatically.")
-
-let cache_stats_flag =
-  Arg.(
-    value & flag
-    & info [ "cache-stats" ]
-        ~doc:
-          "Print the compiled-code cache's hit/miss line after the search (hits, misses, \
-           hit rate, compiled blocks). Only meaningful with the default $(b,compiled) \
-           backend.")
-
 let formats_arg =
   Arg.(
     value & opt string ""
@@ -281,8 +266,7 @@ let parse_formats_menu s =
 
 let search_cmd =
   let run name cls workers out strategy journal_path resume retries eval_steps inject
-      deadline quarantine_after use_shadow shadow_threshold shadow_prune
-      backend_name cache_stats formats_menu =
+      deadline quarantine_after use_shadow shadow_threshold shadow_prune formats_menu =
     with_kernel name cls (fun k ->
         let formats = parse_formats_menu formats_menu in
         let strategy = or_die (Strategy.of_string strategy) in
@@ -296,29 +280,14 @@ let search_cmd =
             inject
         in
         let faults = Option.map Faults.create inject in
-        let backend =
-          match Compile.backend_of_string backend_name with
-          | Some b -> b
-          | None ->
-              prerr_endline
-                (Printf.sprintf "craft: unknown backend %S (use compiled or interp)"
-                   backend_name);
-              exit 1
-        in
-        let harness, target =
-          (* silent injected corruption forges verification failures, so
-             retries extend to fail-verify whenever the injector is armed *)
-          Harness.wrap_target ~retries ~retry_fail_verify:(faults <> None)
-            (Kernel.target ?eval_steps ?faults ~backend k)
-        in
+        let harness, target = Harness.wrap_target ~retries (Kernel.target ?eval_steps ?faults k) in
         let journal =
           Option.map (fun path -> (path, or_die (Store.open_journal ~resume ~path))) journal_path
         in
         let target =
           match journal with
           | Some (_, store) ->
-              let context = Store.context ?eval_steps ~backend ?inject k in
-              Store.wrap_target store ~context ~harness target
+              Store.wrap_target store ~context:(Store.context ?eval_steps ?inject k) target
           | None -> target
         in
         let shadow_opts =
@@ -417,14 +386,6 @@ let search_cmd =
             Format.printf "final configuration written to %s@." path
         | None -> print_string tree);
         Format.printf "%s@." (Harness.report harness);
-        if cache_stats then begin
-          match target.Bfs.Target.code_cache with
-          | Some c ->
-              let s = Compile.stats c in
-              Format.printf "%s — %.1f%% of compilations avoided@." (Compile.report c)
-                (100.0 *. Code_cache.hit_rate s)
-          | None -> Format.printf "code cache: none (interpreter backend)@."
-        end;
         (match pool with
         | Some p ->
             Format.printf "supervisor: %s@." (Pool.report p);
@@ -448,7 +409,7 @@ let search_cmd =
       const run $ bench_arg $ class_arg $ workers_arg $ out_arg $ strategy_arg $ journal_arg
       $ resume_arg $ retries_arg $ eval_steps_arg $ inject_arg $ deadline_arg
       $ quarantine_arg $ shadow_flag $ shadow_threshold_arg
-      $ shadow_prune_arg $ backend_arg $ cache_stats_flag $ formats_arg)
+      $ shadow_prune_arg $ formats_arg)
 
 let shadow_cmd =
   let threshold_arg =

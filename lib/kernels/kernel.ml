@@ -34,8 +34,8 @@ let run_converted k =
   Vm.run vm;
   (k.output vm, vm)
 
-let target ?eval_steps ?faults ?backend ?cache k =
-  Bfs.Target.make ?eval_steps ?faults ?backend ?cache k.program ~setup:k.setup
+let target ?eval_steps ?faults ?cache k =
+  Bfs.Target.make ?eval_steps ?faults ?cache k.program ~setup:k.setup
     ~output:k.output ~verify:k.verify
 
 let check_reference k =

@@ -36,19 +36,13 @@ val run_patched : ?config:Config.t -> t -> float array * Vm.t
 val run_converted : t -> float array * Vm.t
 (** The manually-converted all-single binary (plain single semantics). *)
 
-val target :
-  ?eval_steps:int ->
-  ?faults:Faults.t ->
-  ?backend:Compile.backend ->
-  ?cache:Compile.cache ->
-  t ->
-  Bfs.Target.t
+val target : ?eval_steps:int -> ?faults:Faults.t -> ?cache:Compile.cache -> t -> Bfs.Target.t
 (** Search target with the benchmark's verification routine. [eval_steps],
-    [faults], [backend] and [cache] are passed through to
-    {!Bfs.Target.make} (per-evaluation step budget, deterministic fault
-    injection, execution engine — default the compiled backend with a
-    campaign-wide code cache; an explicit [cache] shares compiled blocks
-    across campaigns, as the campaign server does). *)
+    [faults] and [cache] are passed through to {!Bfs.Target.make}
+    (per-evaluation step budget, deterministic fault injection, and the
+    compiled-block cache — by default one per target; an explicit [cache]
+    shares compiled blocks across campaigns, as the campaign server
+    does). *)
 
 val check_reference : t -> bool
 (** Native run matches the host reference bit-for-bit. *)

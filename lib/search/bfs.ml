@@ -3,54 +3,42 @@ exception Aborted
 module Target = struct
   type t = {
     program : Ir.program;
-    eval : Config.t -> bool;
+    eval : Config.t -> Verdict.verdict;
     raw_eval : Config.t -> bool;
     profile : unit -> int array;
     code_cache : Compile.cache option;
   }
 
-  let make ?eval_steps ?faults ?(backend = Compile.Compiled) ?cache program ~setup ~output
-      ~verify =
-    let code_cache =
-      match backend with
-      | Compile.Compiled ->
-          (* a caller-supplied cache is shared beyond this target — the
-             campaign server hands every job on the same program one cache *)
-          Some (match cache with Some c -> c | None -> Compile.create_cache ())
-      | Compile.Interp -> None
-    in
+  let make ?eval_steps ?faults ?cache program ~setup ~output ~verify =
+    (* a caller-supplied cache is shared beyond this target — the campaign
+       server hands every job on the same program one cache *)
+    let cache = match cache with Some c -> c | None -> Compile.create_cache () in
     let raw_eval cfg =
       let patched = Patcher.patch program cfg in
       let vm = Vm.create ~checked:true ?max_steps:eval_steps patched in
       setup vm;
-      (match (faults, code_cache) with
-      | Some inj, _ ->
-          (* the fault injector owns the run: its hook must see every
-             instruction, so the evaluation always interprets *)
-          let key = Config.digest program cfg in
-          Faults.arm inj ~key vm;
-          Vm.run vm;
-          Faults.finish inj ~key vm
-      | None, Some cache ->
-          (* any hook installed by [setup] (shadow tracer, test probe)
-             makes Compile.run fall back to the interpreter by itself *)
-          Compile.run ~cache vm
-      | None, None -> Vm.run vm);
-      verify (output vm)
+      let armed = Option.map (fun inj -> (inj, Config.digest program cfg)) faults in
+      Option.iter (fun (inj, key) -> Faults.arm inj ~key vm) armed;
+      (* a hook installed by the fault injector or by [setup] (shadow
+         tracer, test probe) makes Compile.run interpret *)
+      Compile.run ~cache vm;
+      let corrupted =
+        match armed with Some (inj, key) -> Faults.finish inj ~key vm | None -> false
+      in
+      let ok = verify (output vm) in
+      (* a failure after silent corruption is the injector's, not the
+         configuration's verdict *)
+      if corrupted && not ok then raise Faults.Corrupted;
+      ok
     in
-    let eval cfg =
-      match raw_eval cfg with
-      | ok -> ok
-      | exception Vm.Trap _ -> false
-      | exception Vm.Limit _ -> false
-    in
+    let eval cfg = Verdict.classify (fun () -> raw_eval cfg) in
     let profile () =
       let vm = Vm.create program in
       setup vm;
       Vm.run vm;
       vm.counts
     in
-    { program; eval; raw_eval; profile; code_cache }
+    { program; eval; raw_eval; profile; code_cache = Some cache }
 end
 
 type granularity = Module_level | Func_level | Block_level | Insn_level
@@ -476,8 +464,7 @@ let drive (module M : MACHINE) ?(options = default_options) (target : Target.t) 
      IS the campaign dying (kill simulation / operator interrupt). *)
   let verdict cfg =
     match target.eval cfg with
-    | true -> Verdict.Pass
-    | false -> Verdict.Fail_verify
+    | v -> v
     | exception Aborted -> raise Aborted
     | exception e -> Verdict.classify_exn e
   in

@@ -23,9 +23,10 @@
     domains — either one the caller supplies (carrying a wall-clock
     deadline) or a transient one staffed for this campaign; when a pool
     is present, every evaluation of the campaign goes through it. Every
-    evaluation is classified through {!Verdict.classify}: a trap, step
-    blowout, out-of-memory or stack overflow is that one item's TRAP /
-    TIMEOUT / CRASH verdict in the log, never the campaign's death.
+    evaluation returns a classified {!Verdict.verdict} ({!Target.eval}):
+    a trap, step blowout, out-of-memory or stack overflow is that one
+    item's TRAP / TIMEOUT / CRASH verdict in the log, never the campaign's
+    death.
 
     A killed or stopped campaign resumes one way: it is run again from
     the start while the result store ([Store], opened by [craft search
@@ -44,53 +45,54 @@ exception Aborted
 module Target : sig
   type t = {
     program : Ir.program;  (** the original, all-double program *)
-    eval : Config.t -> bool;
-        (** patch + run + verify one configuration. Must be thread-safe
-            (evaluations run on domains) and must treat VM traps as
-            failure. Use {!make} unless custom behaviour is needed. *)
+    eval : Config.t -> Verdict.verdict;
+        (** patch + run + verify one configuration, classified — the value
+            every layer (harness, result store, fleet offload) hands on to
+            the driver, which logs its class. Must be thread-safe
+            (evaluations run on domains); should it raise anyway, the
+            driver classifies the exception ({!Verdict.classify_exn}),
+            except {!Aborted}. Use {!make} unless custom behaviour is
+            needed. *)
     raw_eval : Config.t -> bool;
-        (** same evaluation, but failures {e raise} ({!Vm.Trap},
-            {!Vm.Limit}, or anything a broken evaluator throws) instead of
-            folding into [false]. This is what {!Harness.make} classifies
-            into verdicts; [eval] is the legacy contained view of it. *)
+        (** the same evaluation, but failures {e raise} ({!Vm.Trap},
+            {!Vm.Limit}, {!Faults.Corrupted}, ...) instead of being
+            classified: what {!Harness.make} classifies per attempt. *)
     profile : unit -> int array;
         (** address-indexed dynamic execution counts from one native run *)
     code_cache : Compile.cache option;
         (** the compiled-block cache shared by every evaluation of this
-            target, when it was built with [backend:Compiled] (the
-            default); [None] for pure-interpreter targets. Read its
-            hit/miss stats through {!Compile.stats} — {!Harness.wrap_target}
-            surfaces them in the harness report. *)
+            target; {!make} always sets it, [None] only on a hand-built
+            target. Read its hit/miss stats through {!Compile.stats} —
+            {!Harness.wrap_target} surfaces them in the harness report. *)
   }
 
   val make :
     ?eval_steps:int ->
     ?faults:Faults.t ->
-    ?backend:Compile.backend ->
     ?cache:Compile.cache ->
     Ir.program ->
     setup:(Vm.t -> unit) ->
     output:(Vm.t -> float array) ->
     verify:(float array -> bool) ->
     t
-  (** Standard target: [eval cfg] patches the program with [cfg], runs it
-      checked with [setup] applied, reads [output] (coerced) and applies
-      [verify]; any VM trap or step-limit blowout counts as verification
-      failure. [eval_steps] caps the VM step budget of each evaluation
-      (default 2e9) — a configuration that loops or merely exceeds it is a
-      step-timeout, not a stuck campaign. [faults] arms the deterministic
-      fault injector around every evaluation (never around [profile]).
+  (** Standard target: [raw_eval cfg] patches the program with [cfg], runs
+      it checked with [setup] applied, reads [output] (coerced) and
+      applies [verify]; [eval] is {!Verdict.classify} of it. [eval_steps]
+      caps the VM step budget of each evaluation (default 2e9) — a
+      configuration that loops or merely exceeds it is a step-timeout,
+      not a stuck campaign. [faults] arms the deterministic fault injector
+      around every evaluation (never around [profile]); a verification
+      failure on a run it silently corrupted ({!Faults.finish}) raises
+      {!Faults.Corrupted}, so that attempt is a crash.
 
-      [backend] selects the execution engine for plain evaluations
-      (default {!Compile.Compiled}, sharing one {!Compile.cache} across
-      the whole campaign). [cache] supplies that cache from outside —
-      the campaign server hands every concurrent job on the same program
-      one cache, so compiled blocks are shared {e across} campaigns, not
-      just within one. Evaluations with [faults] armed, and runs where
-      [setup] installs a VM hook, always go through the interpreter —
-      {!Compile.run}'s own fallback rule — so the backend choice never
-      changes observable results. [profile] always interprets (it runs the
-      unpatched program once; compiling it buys nothing). *)
+      Evaluations run on the compiled backend ({!Compile.run}) with one
+      {!Compile.cache} across the whole campaign. [cache] supplies that
+      cache from outside — the campaign server hands every concurrent job
+      on the same program one cache, so compiled blocks are shared
+      {e across} campaigns, not just within one. A run with a VM hook
+      installed (by the fault injector or by [setup]) is interpreted —
+      {!Compile.run}'s fallback rule. [profile] always interprets (it
+      runs the unpatched program once; compiling it buys nothing). *)
 end
 
 type granularity = Module_level | Func_level | Block_level | Insn_level

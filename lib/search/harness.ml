@@ -12,17 +12,15 @@ type counters = {
 type t = {
   raw : Config.t -> bool;
   retries : int;
-  retry_fail_verify : bool;
   cache : Compile.cache option;
   c : counters;
   lock : Mutex.t;
 }
 
-let make ?(retries = 0) ?(retry_fail_verify = false) ?cache raw =
+let make ?(retries = 0) ?cache raw =
   {
     raw;
     retries = max 0 retries;
-    retry_fail_verify;
     cache;
     c =
       {
@@ -53,11 +51,6 @@ let tally t v =
          evaluation entirely *)
       | Pruned _ -> ())
 
-let wants_retry t : Verdict.verdict -> bool = function
-  | Trapped _ | Step_timeout | Crashed _ -> true
-  | Fail_verify -> t.retry_fail_verify
-  | Pass | Pruned _ -> false
-
 let eval t cfg =
   Mutex.protect t.lock (fun () -> t.c.evaluations <- t.c.evaluations + 1);
   let attempt_once () =
@@ -66,7 +59,7 @@ let eval t cfg =
     v
   in
   let rec go attempt v =
-    if (not (wants_retry t v)) || attempt >= t.retries then v
+    if (not (Verdict.is_flaky v)) || attempt >= t.retries then v
     else begin
       Mutex.protect t.lock (fun () -> t.c.retried <- t.c.retried + 1);
       go (attempt + 1) (attempt_once ())
@@ -83,9 +76,6 @@ let report t =
   in
   match t.cache with None -> base | Some cc -> base ^ " | " ^ Compile.report cc
 
-let wrap_target ?retries ?retry_fail_verify (target : Bfs.Target.t) =
-  let h =
-    make ?retries ?retry_fail_verify ?cache:target.Bfs.Target.code_cache
-      target.Bfs.Target.raw_eval
-  in
-  (h, { target with Bfs.Target.eval = (fun cfg -> eval h cfg = Verdict.Pass) })
+let wrap_target ?retries (target : Bfs.Target.t) =
+  let h = make ?retries ?cache:target.Bfs.Target.code_cache target.Bfs.Target.raw_eval in
+  (h, { target with Bfs.Target.eval = eval h })

@@ -8,13 +8,17 @@
     returning a classified {!Verdict.verdict}, with
 
     - containment: no exception whatsoever escapes {!eval};
-    - bounded retries for flaky (infrastructure-looking) verdicts, so
-      transient faults don't turn into permanent search decisions;
+    - bounded retries for flaky verdicts — exactly those for which
+      {!Verdict.is_flaky} holds (trap, step-timeout, crash) — so transient
+      faults don't turn into permanent search decisions. A pass or a
+      verification failure is final: the VM is deterministic, so running
+      it again would only repeat it. Injected silent corruption that
+      fails verification is not a verification failure: the evaluator
+      raises {!Faults.Corrupted}, a crash, which is retried like any other;
     - per-verdict counters for the end-of-campaign breakdown report.
 
-    Verdict equality of retried evaluations is deterministic because the
-    VM itself is; flakiness only enters through {!Faults} injection or a
-    genuinely non-deterministic user evaluator. *)
+    Flakiness only enters through {!Faults} injection or a genuinely
+    non-deterministic user evaluator. *)
 
 type counters = {
   mutable evaluations : int;  (** calls to {!eval} *)
@@ -32,14 +36,11 @@ type counters = {
 
 type t
 
-val make :
-  ?retries:int -> ?retry_fail_verify:bool -> ?cache:Compile.cache -> (Config.t -> bool) -> t
+val make : ?retries:int -> ?cache:Compile.cache -> (Config.t -> bool) -> t
 (** [make raw] wraps a raising evaluator. [retries] (default 0) bounds the
     extra attempts granted to a flaky verdict, each run at once.
     [cache] attaches the target's compiled-block cache so {!report} can
-    append its hit/miss line. [retry_fail_verify] (default false) extends
-    retrying to {!Verdict.Fail_verify}, for campaigns where injected
-    silent corruption can forge verification failures. *)
+    append its hit/miss line. *)
 
 val eval : t -> Config.t -> Verdict.verdict
 (** Total classified evaluation with retries. Never raises. *)
@@ -52,11 +53,10 @@ val report : t -> string
     when a compiled-block cache is attached, the {!Compile.report} line
     (hits / misses / hit rate) is appended. *)
 
-val wrap_target : ?retries:int -> ?retry_fail_verify:bool -> Bfs.Target.t -> t * Bfs.Target.t
+val wrap_target : ?retries:int -> Bfs.Target.t -> t * Bfs.Target.t
 (** Build a harness over the target's {!Bfs.Target.raw_eval} and return it
-    together with the same target whose [eval] is the harness's {!eval}
-    folded to a bool ({!Verdict.Pass} is [true]) — drop-in resilience
-    (containment + retries + counters) for {!Bfs.search} and every
-    [Strategy] campaign. The target's
+    together with the same target whose [eval] is the harness's {!eval} —
+    drop-in resilience (containment + retries + counters) for
+    {!Bfs.search} and every [Strategy] campaign. The target's
     {!Bfs.Target.code_cache} (if any) is attached, so the harness report
     also carries the campaign's code-cache hit rate. *)

@@ -326,11 +326,6 @@ let shutdown t =
 
 (* ---------------------------------------------------------------- running *)
 
-let contained thunk =
-  try thunk () with
-  | Vm.Deadline _ -> Verdict.Step_timeout
-  | e -> Verdict.Crashed (Printexc.to_string e)
-
 let run t thunks =
   match thunks with
   | [] -> []
@@ -342,7 +337,7 @@ let run t thunks =
         t.n_inline <- t.n_inline + List.length thunks;
         t.n_completed <- t.n_completed + List.length thunks;
         Mutex.unlock t.lock;
-        List.map contained thunks
+        List.map (fun thunk -> try thunk () with e -> Verdict.classify_exn e) thunks
       end
       else begin
         let tasks =
@@ -387,7 +382,7 @@ let run t thunks =
                 match take_queued pending with
                 | Some task ->
                     Mutex.unlock t.lock;
-                    let v = contained task.thunk in
+                    let v = try task.thunk () with e -> Verdict.classify_exn e in
                     Mutex.lock t.lock;
                     t.n_inline <- t.n_inline + 1;
                     deliver t task v;

@@ -25,10 +25,13 @@
       with a {!Verdict.Crashed} verdict instead of being retried forever;
     - if domains cannot be spawned, or total worker losses exceed
       [max_worker_loss], the pool {e degrades} to serial inline execution
-      (still exception-contained, no supervision) with a logged warning —
-      the campaign always finishes.
+      with a logged warning — the campaign always finishes. There is no
+      supervision then: an exception escaping a thunk is classified on the
+      spot by {!Verdict.classify_exn} (a {!Vm.Trap} is [Trapped], a
+      {!Vm.Limit} or {!Vm.Deadline} a timeout, anything else a crash),
+      with no requeue.
 
-    Well-behaved stacks (thunks wrapped in {!Verdict.classify} or
+    Well-behaved stacks (thunks over {!Bfs.Target.eval} or
     {!Harness.eval}) are total, so worker deaths only arise from genuinely
     abnormal failures. Results are returned in submission order; a pool is
     meant to be created once per campaign and reused across waves. *)

@@ -80,7 +80,7 @@ let run_campaign t j =
   let target =
     Kernel.target ?eval_steps:j.spec.Wire.eval_steps ~cache:t.cache k
   in
-  let harness, target = Harness.wrap_target ~retries:t.opts.retries target in
+  let _, harnessed = Harness.wrap_target ~retries:t.opts.retries target in
   let program_key = Store.program_key k.Kernel.program in
   let context = Store.context ?eval_steps:j.spec.Wire.eval_steps k in
   let eval cfg =
@@ -93,7 +93,7 @@ let run_campaign t j =
     let remote = ref false in
     let compute () =
       match t.fleet with
-      | None -> Harness.eval harness cfg
+      | None -> harnessed.Bfs.Target.eval cfg
       | Some fleet ->
           let ctx =
             {
@@ -105,7 +105,7 @@ let run_campaign t j =
           in
           let text = Config.print k.Kernel.program cfg in
           let verdict, origin =
-            Fleet.eval fleet ~ctx ~key ~text (fun () -> Harness.eval harness cfg)
+            Fleet.eval fleet ~ctx ~key ~text (fun () -> harnessed.Bfs.Target.eval cfg)
           in
           if origin = `Remote then remote := true;
           verdict
@@ -118,9 +118,9 @@ let run_campaign t j =
           (Verdict.verdict_label verdict)
           (Config.summarize cfg)
           (if served then " [store]" else if !remote then " [fleet]" else ""));
-    verdict = Verdict.Pass
+    verdict
   in
-  let target = { target with Bfs.Target.eval } in
+  let target = { harnessed with Bfs.Target.eval } in
   let shadow =
     if not j.spec.Wire.shadow then None
     else begin

@@ -7,8 +7,8 @@
 
     where the program key is {!program_key} (the structural fingerprint
     of the candidate tree), the context is {!context} (the input the
-    kernel is verified on, the step budget, the backend, and an inline
-    campaign's fault-injection spec: two campaigns that differ there may
+    kernel is verified on, the step budget, and an inline campaign's
+    fault-injection spec: two campaigns that differ there may
     legitimately disagree on a verdict) and {!Config.digest} identifies
     the candidate's effective per-instruction flags. The campaign daemon
     shares one store across campaigns and clients, so overlapping
@@ -62,22 +62,25 @@ val program_key : Ir.program -> string
 (** 16-hex-digit FNV-1a fingerprint of the program's structure tree: the
     first component of every key. *)
 
-val context :
-  ?eval_steps:int -> ?backend:Compile.backend -> ?inject:Faults.spec -> Kernel.t -> string
+val context : ?eval_steps:int -> ?inject:Faults.spec -> Kernel.t -> string
 (** The middle component of every key of one campaign, computed once per
-    campaign: the kernel's input (its name, which carries the class, e.g.
-    [ep.A], and a digest of its reference output), the step budget
-    (default: the target's), the backend (default compiled) and, inline,
-    the fault-injection spec. A verdict earned under one context is never
-    served under another: a campaign at class A misses every class-W
-    verdict, and one under another step budget misses every verdict of
-    the budgeted run. *)
+    campaign:
+    [steps=<budget>;backend=compiled;input=<name>;reference=<digest>],
+    then [;inject=<spec>] inline under [--inject]. It names the kernel's
+    input (its name, which carries the class, e.g. [ep.A], and a digest
+    of its reference output), the step budget (default: the target's)
+    and, inline, the fault-injection spec. A verdict earned under one
+    context is never served under another: a campaign at class A misses
+    every class-W verdict, and one under another step budget misses
+    every verdict of the budgeted run. [backend=compiled] is a constant:
+    every evaluation runs on the compiled backend, and the token stays so
+    that store logs written when the engine was a choice keep hitting. *)
 
-val wrap_target : t -> context:string -> harness:Harness.t -> Bfs.Target.t -> Bfs.Target.t
+val wrap_target : t -> context:string -> Bfs.Target.t -> Bfs.Target.t
 (** The inline campaign's evaluation path: [eval] looks the configuration
-    up under [context] and, on a miss, evaluates it through
-    {!Harness.eval} and records the verdict, then folds it to the
-    search's boolean view. *)
+    up under [context] and, on a miss, evaluates it through the target's
+    own [eval] (usually a harnessed one, {!Harness.wrap_target}) and
+    records the verdict it returns. *)
 
 val find_or_compute : t -> key:string -> (unit -> Verdict.verdict) -> Verdict.verdict * bool
 (** [find_or_compute t ~key f] returns the memoized verdict for [key],

@@ -94,8 +94,8 @@ let run ?name ?(capacity = 4) ?faults ?chaos ?(log = ignore) ?(dial_retries = 10
       rejoins = st.rejoins;
     }
   in
-  (* one target + harness per evaluation context, reused across leases *)
-  let harness_for (b : Wire.batch) =
+  (* one harnessed target per evaluation context, reused across leases *)
+  let target_for (b : Wire.batch) =
     let key = (b.Wire.bench, b.Wire.cls, b.Wire.eval_steps, b.Wire.retries) in
     match Hashtbl.find_opt kernels key with
     | Some r -> r
@@ -105,25 +105,24 @@ let run ?name ?(capacity = 4) ?faults ?chaos ?(log = ignore) ?(dial_retries = 10
           | Error why -> Error why
           | Ok kernel ->
               let target = Kernel.target ?eval_steps:b.Wire.eval_steps ?faults ~cache kernel in
-              let harness, _ = Harness.wrap_target ~retries:b.Wire.retries target in
-              Ok (kernel.Kernel.program, harness)
+              Ok (snd (Harness.wrap_target ~retries:b.Wire.retries target))
         in
         Hashtbl.replace kernels key r;
         r
   in
   let eval_item b key text =
-    match harness_for b with
+    match target_for b with
     | Error why ->
         log (Printf.sprintf "%s: cannot build %s.%s: %s" name b.Wire.bench b.Wire.cls why);
         None
-    | Ok (program, harness) -> (
-        match Config.parse program text with
+    | Ok (target : Bfs.Target.t) -> (
+        match Config.parse target.program text with
         | Error why ->
             (* never fabricate a verdict for a config we cannot even
                parse; the daemon requeues it when the lease expires *)
             log (Printf.sprintf "%s: unparseable config %s: %s" name key why);
             None
-        | Ok cfg -> Some (Harness.eval harness cfg))
+        | Ok cfg -> Some (target.eval cfg))
   in
   let drop_batch () =
     st.batch <- None;

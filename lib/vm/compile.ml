@@ -1,10 +1,3 @@
-type backend = Interp | Compiled
-
-let backend_of_string = function
-  | "interp" | "interpreter" -> Some Interp
-  | "compiled" | "compile" -> Some Compiled
-  | _ -> None
-
 (* ------------------------------------------------------------ compiled form *)
 
 (* A compiled terminator keeps the block-index shape of [Ir.terminator];

@@ -13,11 +13,14 @@
 
     {!run} is a drop-in replacement for {!Vm.run}: identical heaps,
     [counts]/[bcounts], step accounting, {!Vm.Trap} addresses and reasons,
-    {!Vm.Limit} and watchdog {!Vm.Deadline} behaviour. The one deliberate
-    difference: a state with installed hooks (fault injector, shadow
-    tracer, test probes) is executed by the interpreter — compiled code has
-    no per-instruction observation point, and correctness of those
-    subsystems outranks speed.
+    {!Vm.Limit} and watchdog {!Vm.Deadline} behaviour. It is the engine of
+    every search evaluation ({!Bfs.Target.make}); there is no switch
+    between engines. The interpreter stays for two things. One is the
+    fallback rule: a state with installed hooks (fault injector, shadow
+    tracer, test probes) is executed by the interpreter — compiled code
+    has no per-instruction observation point, and correctness of those
+    subsystems outranks speed. The other is the reference the
+    differential tests compare compiled runs against.
 
     Compilation is per-(block × precision slice). With a {!cache}, blocks
     whose instruction content (precisions included) is unchanged between
@@ -25,11 +28,6 @@
     wave that flips one function recompiles only that function's blocks —
     the patcher's layout is configuration-invariant, which makes block
     content a sound cache witness (see DESIGN §10). *)
-
-type backend = Interp | Compiled
-
-val backend_of_string : string -> backend option
-(** ["interp"] / ["compiled"] (also accepts ["interpreter"], ["compile"]). *)
 
 type cache
 (** A {!Code_cache} of compiled blocks, shareable across every evaluation

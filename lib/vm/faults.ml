@@ -57,10 +57,12 @@ let parse text =
               | k -> Error (Printf.sprintf "unknown fault-spec field %S" k))))
     (Ok default) fields
 
+exception Corrupted
+
 type t = {
   spec : spec;
   attempts : (string, int) Hashtbl.t;
-  armed : (string, mode) Hashtbl.t;  (* decision pending for [finish] *)
+  armed : (string, mode) Hashtbl.t;  (* silent fault of the current run, for [finish] *)
   mutable fired : int;
   lock : Mutex.t;
 }
@@ -135,7 +137,11 @@ let arm t ~key vm =
                       record_fire t;
                       vm.Vm.steps <- vm.Vm.max_steps;
                       raise (Vm.Limit vm.Vm.max_steps)
-                  | Bitflip -> if flip_replaced vm bit then record_fire t
+                  | Bitflip ->
+                      if flip_replaced vm bit then begin
+                        record_fire t;
+                        Mutex.protect t.lock (fun () -> Hashtbl.replace t.armed key Bitflip)
+                      end
                   | Corrupt -> ()
                 end)
     end
@@ -148,12 +154,11 @@ let finish t ~key vm =
       m)
   in
   match armed with
-  | Some Corrupt ->
-      let n = Array.length vm.Vm.fheap in
-      if n > 0 then begin
-        let rng = Rng.create (t.spec.seed lxor fnv64 key lxor 0x5bd1e995) in
-        let i = Rng.int rng n in
-        vm.Vm.fheap.(i) <- (vm.Vm.fheap.(i) *. -3.0) +. 1.0e9;
-        record_fire t
-      end
-  | _ -> ()
+  | Some Corrupt when Array.length vm.Vm.fheap > 0 ->
+      let rng = Rng.create (t.spec.seed lxor fnv64 key lxor 0x5bd1e995) in
+      let i = Rng.int rng (Array.length vm.Vm.fheap) in
+      vm.Vm.fheap.(i) <- (vm.Vm.fheap.(i) *. -3.0) +. 1.0e9;
+      record_fire t;
+      true
+  | Some Bitflip -> true
+  | _ -> false

@@ -57,6 +57,14 @@ val arm : t -> key:string -> Vm.t -> unit
     number — faults, and install the corresponding VM hook. Also records
     the decision for {!finish}. Thread-safe. *)
 
-val finish : t -> key:string -> Vm.t -> unit
-(** Apply post-run faults ({!Corrupt}) after a completed run. Call between
-    [Vm.run] and output extraction; skip when the run raised. *)
+val finish : t -> key:string -> Vm.t -> bool
+(** Apply post-run faults ({!Corrupt}) after a completed run, and report
+    whether a silent fault — a {!Bitflip} mid-run or that {!Corrupt} —
+    hit this run. Call between [Vm.run] and output extraction; skip when
+    the run raised. *)
+
+exception Corrupted
+(** What an evaluator raises when verification fails on a run {!finish}
+    reported as silently corrupted: the failure is the injector's, not the
+    configuration's, so it classifies as a crash and a retrying harness
+    runs the configuration again, like any other injected fault. *)

@@ -25,7 +25,7 @@ exception Limit of int
 exception Deadline of float
 (** Raised by a supervisor's {!with_watchdog} callback when an evaluation
     exceeds its wall-clock deadline (argument: the deadline in seconds).
-    Classified as a timeout by {!Harness.classify}. *)
+    Classified as a timeout by {!Verdict.classify}. *)
 
 type smode =
   | Flagged  (** instrumented binaries: [S] ops read/write replaced encodings *)

@@ -94,17 +94,21 @@ type probe = {
 let note p s = Mutex.protect p.lock (fun () -> p.seq <- s :: p.seq)
 
 let recording p (t : Bfs.Target.t) =
-  let wrap f cfg =
+  let wrap passed f cfg =
     let d = Config.digest t.Bfs.Target.program cfg in
     match f cfg with
-    | ok ->
-        note p (d ^ if ok then "+" else "-");
-        ok
+    | r ->
+        note p (d ^ if passed r then "+" else "-");
+        r
     | exception e ->
         note p (d ^ "!" ^ Printexc.to_string e);
         raise e
   in
-  { t with Bfs.Target.eval = wrap t.Bfs.Target.eval; raw_eval = wrap t.Bfs.Target.raw_eval }
+  {
+    t with
+    Bfs.Target.eval = wrap (( = ) Verdict.Pass) t.Bfs.Target.eval;
+    raw_eval = wrap Fun.id t.Bfs.Target.raw_eval;
+  }
 
 (* the recorded evaluation sequence; with [parallel] each wave is a set *)
 let sequence ~parallel p =

@@ -332,33 +332,34 @@ let test_faults_force_interpreter () =
     Faults.create { Faults.seed = 3; rate = 1.0; modes = [ Faults.Trap ]; transient = false }
   in
   let target =
-    Bfs.Target.make ~faults:inj ~backend:Compile.Compiled prog
+    Bfs.Target.make ~faults:inj prog
       ~setup:(fuzz_setup input)
       ~output:(fun vm -> Vm.read_f vm 0 Test_fuzz.n_slots)
       ~verify:(fun _ -> true)
   in
-  checkb "always-faulting evaluation fails" false (target.Bfs.Target.eval Config.empty);
+  checkb "always-faulting evaluation fails" false
+    (target.Bfs.Target.eval Config.empty = Verdict.Pass);
   checkb "the injector actually fired" true (Faults.injected inj > 0)
 
 (* --------------------------------------- campaign equivalence + deadlines *)
 
-let fuzz_target ~backend prog input =
-  let reference =
-    let vm = Vm.create prog in
-    fuzz_setup input vm;
+(* The reference engine: [Bfs.Target.make]'s target with every
+   evaluation run by the interpreter instead of the compiled backend. *)
+let interpreted program ~setup ~output ~verify =
+  let raw_eval cfg =
+    let vm = Vm.create ~checked:true (Patcher.patch program cfg) in
+    setup vm;
     Vm.run vm;
-    Vm.read_f vm 0 Test_fuzz.n_slots
+    verify (output vm)
   in
-  Bfs.Target.make ~backend prog ~setup:(fuzz_setup input)
-    ~output:(fun vm -> Vm.read_f vm 0 Test_fuzz.n_slots)
-    ~verify:(fun out ->
-      Array.for_all2
-        (fun a b ->
-          let scale = Float.max 1.0 (Float.abs b) in
-          Float.abs (a -. b) /. scale < 1e-4)
-        out reference)
+  {
+    (Bfs.Target.make program ~setup ~output ~verify) with
+    Bfs.Target.eval = (fun cfg -> Verdict.classify (fun () -> raw_eval cfg));
+    raw_eval;
+    code_cache = None;
+  }
 
-(* one harnessed BFS campaign per backend on a fuzz program and on cg.W and
+(* one harnessed BFS campaign per engine on a fuzz program and on cg.W and
    mg.W (hints base): finals, evaluation counts and verdict counters agree *)
 let test_campaign_equivalence () =
   let campaign ~base target =
@@ -367,8 +368,8 @@ let test_campaign_equivalence () =
     (r, Harness.counters h)
   in
   let same label ~base target_of =
-    let ri, ci = campaign ~base (target_of Compile.Interp) in
-    let rc, cc = campaign ~base (target_of Compile.Compiled) in
+    let ri, ci = campaign ~base (target_of interpreted) in
+    let rc, cc = campaign ~base (target_of (fun program -> Bfs.Target.make program)) in
     checkb (label ^ ": final configurations identical") true
       (compare ri.Bfs.final rc.Bfs.final = 0);
     checki (label ^ ": same number of evaluations") ri.Bfs.tested rc.Bfs.tested;
@@ -376,9 +377,25 @@ let test_campaign_equivalence () =
     checkb (label ^ ": same verdict counters") true (ci = cc)
   in
   let prog, input = Test_fuzz.random_program 31415 in
-  same "fuzz" ~base:Config.empty (fun backend -> fuzz_target ~backend prog input);
+  let reference =
+    let vm = Vm.create prog in
+    fuzz_setup input vm;
+    Vm.run vm;
+    Vm.read_f vm 0 Test_fuzz.n_slots
+  in
+  same "fuzz" ~base:Config.empty (fun make ->
+      make prog ~setup:(fuzz_setup input)
+        ~output:(fun vm -> Vm.read_f vm 0 Test_fuzz.n_slots)
+        ~verify:(fun out ->
+          Array.for_all2
+            (fun a b ->
+              let scale = Float.max 1.0 (Float.abs b) in
+              Float.abs (a -. b) /. scale < 1e-4)
+            out reference));
   List.iter
-    (fun (k : Kernel.t) -> same k.name ~base:k.hints (fun backend -> Kernel.target ~backend k))
+    (fun (k : Kernel.t) ->
+      same k.name ~base:k.hints (fun make ->
+          make k.program ~setup:k.setup ~output:k.output ~verify:k.verify))
     [ Nas_cg.make Kernel.W; Nas_mg.make Kernel.W ]
 
 let test_compiled_pool_deadline () =

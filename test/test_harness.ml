@@ -97,18 +97,40 @@ let test_backoff_deterministic () =
   checki "attempts" 4 c.Harness.attempts;
   checki "retried" 3 c.Harness.retried
 
-let test_retry_fail_verify_opt_in () =
-  let calls = ref 0 in
-  let raw _ =
-    incr calls;
-    !calls > 1
+(* A genuine verification failure is final even with the injector armed:
+   a fault that never fires forges nothing, and re-running a
+   deterministic failure only repeats it. *)
+let test_genuine_failure_is_final () =
+  let faults =
+    Faults.create
+      { Faults.seed = 7; rate = 0.0; modes = [ Faults.Bitflip; Faults.Corrupt ]; transient = true }
   in
-  let h = Harness.make ~retries:1 raw in
-  Alcotest.check verdict_t "fail is final by default" Verdict.Fail_verify
-    (Harness.eval h Config.empty);
-  calls := 0;
-  let h' = Harness.make ~retries:1 ~retry_fail_verify:true raw in
-  Alcotest.check verdict_t "retried to pass" Verdict.Pass (Harness.eval h' Config.empty)
+  let _, target = synthetic ~faults ~n_ops:4 ~poison:[ 1 ] () in
+  let h, t = Harness.wrap_target ~retries:2 target in
+  Alcotest.check verdict_t "fail is final" Verdict.Fail_verify
+    (t.Bfs.Target.eval (Config.set_module Config.empty "syn" Config.Single));
+  checki "the injector never fired" 0 (Faults.injected faults);
+  let c = Harness.counters h in
+  checki "attempted once" 1 c.Harness.attempts;
+  checki "never retried" 0 c.Harness.retried
+
+(* Silent corruption that fails verification is the injector's failure,
+   not the configuration's: a crash, retried like any crash. The fault is
+   persistent, so every attempt is corrupted and the crash is final. *)
+let test_bitflip_failure_is_a_crash () =
+  let faults =
+    Faults.create { Faults.seed = 2; rate = 1.0; modes = [ Faults.Bitflip ]; transient = false }
+  in
+  let _, target = synthetic ~faults ~n_ops:8 ~poison:[] () in
+  let h = Harness.make ~retries:2 target.Bfs.Target.raw_eval in
+  (match Harness.eval h (Config.set_module Config.empty "syn" Config.Single) with
+  | Verdict.Crashed _ -> ()
+  | v -> Alcotest.failf "expected a crash, got %a" Verdict.pp_verdict v);
+  checki "every attempt was flipped" 3 (Faults.injected faults);
+  let c = Harness.counters h in
+  checki "crashed on every attempt" 3 c.Harness.crashed;
+  checki "retried" 2 c.Harness.retried;
+  checki "no verification failure" 0 c.Harness.fail_verify
 
 (* ------------------------------------------------- serialization *)
 
@@ -247,13 +269,13 @@ let test_vm_double_run_guard () =
 
 (* Under ~20% transient faults with retries, the BFS reaches the same final
    configuration as a fault-free run. *)
-let equivalent_under_faults ~modes ~retry_fail_verify seed =
+let equivalent_under_faults ~modes seed =
   let n_ops = 8 and poison = [ 2; 5 ] in
   let prog, clean_target = synthetic ~n_ops ~poison () in
   let clean = Bfs.search clean_target in
   let faults = Faults.create { Faults.seed; rate = 0.2; modes; transient = true } in
   let _, faulty_target = synthetic ~faults ~n_ops ~poison () in
-  let h, t = Harness.wrap_target ~retries:2 ~retry_fail_verify faulty_target in
+  let h, t = Harness.wrap_target ~retries:2 faulty_target in
   let faulty = Bfs.search t in
   checkb "faults actually fired" true (Faults.injected faults > 0);
   checks "same final configuration"
@@ -263,14 +285,14 @@ let equivalent_under_faults ~modes ~retry_fail_verify seed =
   checkb "faulty run passes" true faulty.Bfs.final_pass
 
 let test_transient_faults_same_final_config () =
-  equivalent_under_faults ~modes:[ Faults.Trap; Faults.Hang ] ~retry_fail_verify:false 11
+  equivalent_under_faults ~modes:[ Faults.Trap; Faults.Hang ] 11
 
 let test_transient_corruption_same_final_config () =
-  (* silent corruption forges fail-verify verdicts, so retries must extend
-     to them for the campaign to converge on the fault-free answer *)
+  (* silent corruption that fails verification is a crash, so the retries
+     recover the fault-free verdict and the campaign converges on the
+     fault-free answer *)
   equivalent_under_faults
-    ~modes:[ Faults.Trap; Faults.Hang; Faults.Bitflip; Faults.Corrupt; Faults.Crash ]
-    ~retry_fail_verify:true 11
+    ~modes:[ Faults.Trap; Faults.Hang; Faults.Bitflip; Faults.Corrupt; Faults.Crash ] 11
 
 (* ------------------------------------------------- journal *)
 
@@ -291,7 +313,7 @@ let open_journal ~resume path =
 let journaled_search ?(context = "syn") ~resume path target =
   let store = open_journal ~resume path in
   let harness, t = Harness.wrap_target target in
-  let r = Bfs.search (Store.wrap_target store ~context ~harness t) in
+  let r = Bfs.search (Store.wrap_target store ~context t) in
   let stats = Store.stats store in
   Store.close store;
   (r, stats, harness)
@@ -429,7 +451,9 @@ let suite =
     ("counters tally per attempt", `Quick, test_counters_tally);
     ("retry recovers a transient fault", `Quick, test_retry_recovers_transient);
     ("deterministic exponential backoff", `Quick, test_backoff_deterministic);
-    ("retry_fail_verify is opt-in", `Quick, test_retry_fail_verify_opt_in);
+    ("a genuine failure is final under an armed injector", `Quick, test_genuine_failure_is_final);
+    ("a bit flip that fails verification is a retried crash", `Quick,
+      test_bitflip_failure_is_a_crash);
     ("verdict string roundtrip", `Quick, test_verdict_string_roundtrip);
     test_verdict_roundtrip_fuzz;
     test_journal_trailing_corruption_fuzz;

@@ -206,6 +206,20 @@ let test_collapse_degrades_to_serial () =
       Alcotest.check verdict_t "still serves" Verdict.Pass
         (run1 p (fun () -> Verdict.Pass)))
 
+(* a degraded pool runs tasks inline and classifies what escapes them the
+   way every other layer does *)
+let test_degraded_pool_classifies () =
+  with_pool
+    ~options:{ Pool.default_options with workers = 1; quarantine_after = 1; max_worker_loss = 1 }
+    (fun p ->
+      ignore (Pool.run p [ (fun () -> failwith "killer"); (fun () -> failwith "killer") ]);
+      checkb "pool degraded" true (Pool.degraded p);
+      Alcotest.check verdict_t "a trap is a trap"
+        (Verdict.Trapped (7, "boom"))
+        (run1 p (fun () -> raise (Vm.Trap (7, "boom"))));
+      Alcotest.check verdict_t "a step blowout is a timeout" Verdict.Step_timeout
+        (run1 p (fun () -> raise (Vm.Limit 5))))
+
 (* ------------------------------------------------- Bfs integration *)
 
 let test_bfs_campaign_survives_hung_evaluator () =
@@ -323,6 +337,7 @@ let suite =
     ("worker death, restart, quarantine", `Quick, test_worker_death_restart_and_quarantine);
     ("quarantine-after-1", `Quick, test_quarantine_after_one);
     ("pool collapse degrades to serial", `Quick, test_collapse_degrades_to_serial);
+    ("a degraded pool classifies a trap as a trap", `Quick, test_degraded_pool_classifies);
     ("bfs campaign survives a hung evaluator", `Quick, test_bfs_campaign_survives_hung_evaluator);
     ("bfs transient pool classifies crashes", `Quick, test_bfs_transient_pool_classifies_crashes);
     ( "oom and stack overflow become crash verdicts",

@@ -172,6 +172,34 @@ let test_store_program_key () =
   let p6, _ = Test_harness.synthetic ~n_ops:6 ~poison:[] () in
   checkb "different programs differ" true (Store.program_key p5 <> Store.program_key p6)
 
+(* The context is the middle of every store key, so its bytes must not
+   change either: [backend=compiled] stays although there is no engine
+   choice any more. *)
+let test_store_context_bytes () =
+  let ep = Nas_ep.make Kernel.W and cg = Nas_cg.make Kernel.W in
+  let inject =
+    Result.get_ok (Faults.parse "seed=7,rate=0.2,modes=trap+hang+bitflip,transient")
+  in
+  List.iter
+    (fun (label, want, got) -> checks label want got)
+    [
+      ( "ep.W",
+        "steps=default;backend=compiled;input=ep.W;reference=1d03afd443e8f806",
+        Store.context ep );
+      ( "ep.W budgeted",
+        "steps=2000000;backend=compiled;input=ep.W;reference=1d03afd443e8f806",
+        Store.context ~eval_steps:2000000 ep );
+      ( "cg.W",
+        "steps=default;backend=compiled;input=cg.W;reference=e4900f7317df8d57",
+        Store.context cg );
+      ( "cg.W budgeted",
+        "steps=2000000;backend=compiled;input=cg.W;reference=e4900f7317df8d57",
+        Store.context ~eval_steps:2000000 cg );
+      ( "cg.W budgeted and injected",
+        "steps=2000000;backend=compiled;input=cg.W;reference=e4900f7317df8d57;inject=seed=7,rate=0.2,modes=trap+hang+bitflip,transient",
+        Store.context ~eval_steps:2000000 ~inject cg );
+    ]
+
 (* -------------------------------------------------------------------- wal *)
 
 let spec_gen =
@@ -897,6 +925,8 @@ let suite =
       test_store_compact;
     Alcotest.test_case "store: program keys keep their on-disk bytes" `Quick
       test_store_program_key;
+    Alcotest.test_case "store: contexts keep their on-disk bytes" `Quick
+      test_store_context_bytes;
     fuzz_wal_replay;
     Alcotest.test_case "wal: unactionable outcomes are dropped" `Quick
       test_wal_drops_unactionable;

@@ -214,6 +214,29 @@ let test_trap_counts_as_failure () =
   let res = Bfs.search target in
   checkb "search completes" true (res.Bfs.tested > 0)
 
+(* Every evaluation's class reaches the log: ep.W's six trapping
+   configurations (a replaced operand reaching a double-precision op) are
+   TRAP lines, not FAIL lines, as many as the harness counted, on the
+   sequential path and on a pool. *)
+let test_traps_are_logged_as_traps () =
+  let k = Nas_ep.make Kernel.W in
+  List.iter
+    (fun workers ->
+      let h, target = Harness.wrap_target (Kernel.target k) in
+      let res =
+        Bfs.search ~options:{ Bfs.default_options with base = k.Kernel.hints; workers } target
+      in
+      let lines prefix =
+        List.length
+          (List.filter (fun l -> String.starts_with ~prefix:(prefix ^ " ") l) res.Bfs.log)
+      in
+      let label = Printf.sprintf "%d worker(s): " workers in
+      checki (label ^ "TRAP lines") 6 (lines "TRAP");
+      checki (label ^ "FAIL lines") 0 (lines "FAIL");
+      checki (label ^ "one TRAP line per trapped attempt") (Harness.counters h).Harness.trapped
+        (lines "TRAP"))
+    [ 1; 2 ]
+
 let test_tested_counts_final () =
   let _, target = synthetic ~n_ops:4 ~poison:[] in
   let res = Bfs.search target in
@@ -233,5 +256,6 @@ let suite =
     ("force_single expands over ignores", `Quick, test_force_single_expands_over_ignores);
     ("second phase composes", `Quick, test_second_phase_composes);
     ("trap counts as failure", `Quick, test_trap_counts_as_failure);
+    ("ep.W traps are logged as traps", `Quick, test_traps_are_logged_as_traps);
     ("tested counts final", `Quick, test_tested_counts_final);
   ]

@@ -490,8 +490,34 @@ let test_connection_limit_shed () =
           in
           reusable 0))
 
+(* Every frame's exact bytes, re-encoded and compared with the copy
+   recorded in test/wire/frames.txt; every recorded line also decodes
+   back to the frame it names. *)
+let test_wire_bytes () =
+  let path = Filename.concat (Filename.dirname Sys.executable_name) "wire/frames.txt" in
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  checki "one fixture line per frame" (List.length Wire_frames.frames) (List.length lines);
+  List.iter2
+    (fun (name, frame) line ->
+      match String.split_on_char ' ' line with
+      | [ recorded; hex ] ->
+          Alcotest.(check string) "frame name" name recorded;
+          Alcotest.(check string) (name ^ " bytes") hex (Wire_frames.hex (Wire.encode frame));
+          let bytes = Wire_frames.of_hex hex in
+          checkb (name ^ " decodes to the frame") true
+            (match Wire.decode bytes ~pos:0 ~len:(Bytes.length bytes) with
+            | Ok (f, used) -> f = frame && used = Bytes.length bytes
+            | Error _ -> false)
+      | _ -> Alcotest.failf "malformed fixture line %S" line)
+    Wire_frames.frames lines
+
 let suite =
   [
+    ("wire: frame bytes match the recorded fixture", `Quick, test_wire_bytes);
     ("store: memoizes verdicts", `Quick, test_store_memoizes);
     ("store: in-flight dedup computes once", `Quick, test_store_inflight_dedup);
     ("store: withdraws the claim on exception", `Quick, test_store_withdraws_on_exception);

@@ -246,9 +246,9 @@ let test_journal_resume_is_exact () =
             ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
             (fun () ->
               let journaled ~resume =
-                let harness, t = Harness.wrap_target target in
+                let _, t = Harness.wrap_target target in
                 let store = Result.get_ok (Store.open_journal ~resume ~path) in
-                (store, Store.wrap_target store ~context:"syn" ~harness t)
+                (store, Store.wrap_target store ~context:"syn" t)
               in
               let store, t = journaled ~resume:false in
               let calls = ref 0 in
@@ -282,7 +282,7 @@ let test_journal_resume_is_exact () =
 
 (* ------------------------------------------------ bake-off on NAS kernels *)
 
-(* compiled backend, second phase on, hints base: every strategy's final
+(* second phase on, hints base: every strategy's final
    passes, re-verified by one more evaluation, and saves at least as many
    bits as BFS's. The (evaluations, bits saved) pins are the numbers
    EXPERIMENTS.md quotes for the bake-off. *)
@@ -293,14 +293,14 @@ let test_no_worse_than_bfs () =
   List.iter
     (fun ((k : Kernel.t), pins) ->
       let options = { Bfs.default_options with second_phase = true; base = k.Kernel.hints } in
-      let target = Kernel.target ~backend:Compile.Compiled k in
+      let target = Kernel.target k in
       let results = List.map (fun tok -> (tok, Strategy.run ~options tok target)) strategies in
       let bfs = List.assoc Strategy.Bfs results in
       List.iter2
         (fun (tok, (r : Bfs.result)) (evals, bits) ->
           let label = k.Kernel.name ^ "/" ^ Strategy.to_string tok in
           checkb (label ^ ": final passes") true
-            (r.Bfs.final_pass && target.Bfs.Target.eval r.Bfs.final);
+            (r.Bfs.final_pass && target.Bfs.Target.eval r.Bfs.final = Verdict.Pass);
           if r.Bfs.bits_saved < bfs.Bfs.bits_saved then
             Alcotest.failf "%s: saved %d bits, BFS saved %d" label r.Bfs.bits_saved
               bfs.Bfs.bits_saved;

@@ -167,8 +167,9 @@ let test_target_thresholds () =
   let t = Slu.create ~n:100 ~seed:66 () in
   let tgt_loose = Slu.target t ~threshold:1.0 in
   let tgt_impossible = Slu.target t ~threshold:1e-30 in
-  checkb "loose accepts all-double" true (tgt_loose.Bfs.Target.eval Config.empty);
-  checkb "impossible rejects" false (tgt_impossible.Bfs.Target.eval Config.empty)
+  checkb "loose accepts all-double" true (tgt_loose.Bfs.Target.eval Config.empty = Verdict.Pass);
+  checkb "impossible rejects" false
+    (tgt_impossible.Bfs.Target.eval Config.empty = Verdict.Pass)
 
 let test_equilibrate_preserves_solution () =
   let t = Slu.create ~n:100 ~seed:77 () in
