@@ -220,28 +220,9 @@ let shadow_flag =
           "Run a shadow-value precision analysis (one traced native run) first and use it \
            to guide the search: seed the passing set with the predicted configuration, \
            reorder the frontier by predicted tolerance, and prune candidates whose \
-           predicted divergence exceeds the $(b,--shadow-prune) bound. Every pruned \
-           candidate is logged as a $(b,PRUNED) line and counted, never dropped \
-           silently. BFS strategy only.")
-
-let shadow_threshold_arg =
-  Arg.(
-    value
-    & opt float Shadow_report.default_threshold
-    & info [ "shadow-threshold" ] ~docv:"REL"
-        ~doc:
-          "Worst-case relative divergence below which a structure is predicted to survive \
-           in single precision (default 1e-8).")
-
-let shadow_prune_arg =
-  Arg.(
-    value & opt float 1e-1
-    & info [ "shadow-prune" ] ~docv:"BOUND"
-        ~doc:
-          "Hard divergence bound for shadow pruning: candidates predicted to diverge \
-           beyond $(docv) are skipped (logged as $(b,PRUNED)) instead of evaluated. \
-           Candidates with observed control-flow flips are never pruned. A value <= 0 \
-           disables pruning (default 1e-1).")
+           predicted divergence exceeds 0.1. Every pruned candidate is logged as a \
+           $(b,PRUNED) line and counted, never dropped silently. The bfs and anneal \
+           strategies read the guidance; split and delta ignore it.")
 
 let formats_arg =
   Arg.(
@@ -255,21 +236,15 @@ let formats_arg =
            passing structure is retried at every cheaper format, cheapest first. Empty \
            (the default) searches single-vs-double exactly as before.")
 
-let parse_formats_menu s =
-  if s = "" then Bfs.default_options.Bfs.formats
-  else
-    match Formats.menu_of_string s with
-    | Ok menu -> menu
-    | Error why ->
-        prerr_endline ("craft: --formats: " ^ why);
-        exit 1
-
 let search_cmd =
   let run name cls workers out strategy journal_path resume retries eval_steps inject
-      deadline quarantine_after use_shadow shadow_threshold shadow_prune formats_menu =
+      deadline quarantine_after shadow formats =
     with_kernel name cls (fun k ->
-        let formats = parse_formats_menu formats_menu in
-        let strategy = or_die (Strategy.of_string strategy) in
+        let campaign =
+          or_die
+            (Campaign.of_spec
+               { Wire.bench = name; cls; shadow; priority = 0; eval_steps; formats; strategy })
+        in
         if resume && journal_path = None then begin
           prerr_endline "craft: --resume requires --journal FILE";
           exit 1
@@ -289,23 +264,6 @@ let search_cmd =
           | Some (_, store) ->
               Store.wrap_target store ~context:(Store.context ?eval_steps ?inject k) target
           | None -> target
-        in
-        let shadow_opts =
-          if not use_shadow then None
-          else begin
-            let tracer =
-              Shadow_tracer.create
-                ~config:(Shadow_tracer.all_single ~base:k.Kernel.hints k.Kernel.program)
-                k.Kernel.program
-            in
-            let (_ : Vm.t) = Shadow_tracer.trace tracer ~setup:k.Kernel.setup in
-            let report =
-              Shadow_report.make ~threshold:shadow_threshold ~base:k.Kernel.hints
-                k.Kernel.program tracer
-            in
-            let prune_above = if shadow_prune > 0.0 then Some shadow_prune else None in
-            Some (Bfs.shadow ?prune_above report)
-          end
         in
         (* The supervised pool is staffed whenever parallelism or a deadline
            asks for it; the CLI owns it (the search only borrows it). *)
@@ -339,52 +297,24 @@ let search_cmd =
                       result (^C again to abort)"
                  end))
         in
-        let options =
-          {
-            Bfs.default_options with
-            workers;
-            base = k.Kernel.hints;
-            pool;
-            shadow = shadow_opts;
-            formats;
-            stop = (fun () -> Atomic.get interrupt);
-          }
-        in
-        let r, recommendation =
-          match strategy with
-          | Strategy.Bfs ->
-              let rec_ = Analysis.recommend_target ~options target ~setup:k.Kernel.setup in
-              (rec_.Analysis.result, Some rec_)
-          | tok -> (Strategy.run ~options tok target, None)
+        let r =
+          Campaign.run ?pool ~stop:(fun () -> Atomic.get interrupt) ~workers k campaign target
         in
         Sys.set_signal Sys.sigint prev_sigint;
         if r.Bfs.interrupted then
           Format.printf
             "search INTERRUPTED — the report below is the partial result (union of \
              the structures that had passed); rerun with --journal/--resume to continue@.";
-        let text, tree =
-          match recommendation with
-          | Some rec_ ->
-              Format.printf "%a@." Analysis.pp_summary rec_;
-              if use_shadow then
-                Format.printf "shadow: pruned %d candidate evaluation(s)@." r.Bfs.pruned;
-              (rec_.Analysis.config_text, rec_.Analysis.tree)
-          | None ->
-              Format.printf
-                "strategy %s: tested %d configurations, replaced %d of %d candidates \
-                 (static %.1f%%, dynamic %.1f%%), %d bit(s) saved (%s)@."
-                (Strategy.to_string strategy) r.Bfs.tested r.Bfs.static_replaced
-                r.Bfs.candidates r.Bfs.static_pct r.Bfs.dynamic_pct r.Bfs.bits_saved
-                (if r.Bfs.final_pass then "pass" else "fail");
-              (Config.print k.Kernel.program r.Bfs.final, Tree_view.render k.Kernel.program r.Bfs.final)
-        in
+        let rec_ = Analysis.of_result target ~setup:k.Kernel.setup r in
+        Format.printf "%a@." Analysis.pp_summary rec_;
+        if shadow then Format.printf "shadow: pruned %d candidate evaluation(s)@." r.Bfs.pruned;
         (match out with
         | Some path ->
             let oc = open_out path in
-            output_string oc text;
+            output_string oc rec_.Analysis.config_text;
             close_out oc;
             Format.printf "final configuration written to %s@." path
-        | None -> print_string tree);
+        | None -> print_string rec_.Analysis.tree);
         Format.printf "%s@." (Harness.report harness);
         (match pool with
         | Some p ->
@@ -408,8 +338,7 @@ let search_cmd =
     Term.(
       const run $ bench_arg $ class_arg $ workers_arg $ out_arg $ strategy_arg $ journal_arg
       $ resume_arg $ retries_arg $ eval_steps_arg $ inject_arg $ deadline_arg
-      $ quarantine_arg $ shadow_flag $ shadow_threshold_arg
-      $ shadow_prune_arg $ formats_arg)
+      $ quarantine_arg $ shadow_flag $ formats_arg)
 
 let shadow_cmd =
   let threshold_arg =
@@ -871,12 +800,6 @@ let priority_arg =
     value & opt int 0
     & info [ "priority" ] ~docv:"P" ~doc:"Scheduling priority; higher runs first.")
 
-let submit_shadow_flag =
-  Arg.(
-    value & flag
-    & info [ "shadow" ]
-        ~doc:"Run the shadow-value analysis first and let it guide the campaign.")
-
 let wait_flag =
   Arg.(
     value & flag
@@ -884,23 +807,11 @@ let wait_flag =
         ~doc:"Block until the campaign finishes and print its result (see also \
               $(b,craft watch)).")
 
-let submit_strategy_arg =
-  let doc =
-    "Search strategy for the campaign: bfs (default), split, delta, or \
-     anneal[:seed]."
-  in
-  Arg.(value & opt string "" & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
-
 let submit_cmd =
   let run socket tcp bench cls shadow priority eval_steps wait out formats strategy =
-    (* validate locally for a friendly error; the daemon re-validates *)
-    if formats <> "" then ignore (parse_formats_menu formats);
-    (match Strategy.of_string strategy with
-    | Ok _ -> ()
-    | Error why ->
-        prerr_endline ("craft: --strategy: " ^ why);
-        exit 1);
     let spec = { Wire.bench; cls; shadow; priority; eval_steps; formats; strategy } in
+    (* validate locally for a friendly error; the daemon re-validates *)
+    let (_ : Campaign.t) = or_die (Campaign.of_spec spec) in
     with_client socket tcp (fun c ->
         let id = or_die (Client.submit c spec) in
         if not wait then print_endline id
@@ -921,9 +832,9 @@ let submit_cmd =
   Cmd.v
     (Cmd.info "submit" ~doc:"Submit a search campaign to the daemon (prints the job id)")
     Term.(
-      const run $ socket_arg $ tcp_arg $ bench_arg $ class_arg $ submit_shadow_flag
+      const run $ socket_arg $ tcp_arg $ bench_arg $ class_arg $ shadow_flag
       $ priority_arg $ eval_steps_arg $ wait_flag $ out_arg $ formats_arg
-      $ submit_strategy_arg)
+      $ strategy_arg)
 
 let job_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"JOB" ~doc:"Job id.")

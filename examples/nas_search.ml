@@ -24,7 +24,8 @@ let () =
   in
   Format.printf "searching %s (%d workers)...@." k.Kernel.name workers;
   let options = { Bfs.default_options with workers; base = k.Kernel.hints } in
-  let r = Analysis.recommend_target ~options (Kernel.target k) ~setup:k.Kernel.setup in
+  let target = Kernel.target k in
+  let r = Analysis.of_result target ~setup:k.Kernel.setup (Bfs.search ~options target) in
   Format.printf "%a@.@." Analysis.pp_summary r;
   Format.printf "=== search log (first 25 events) ===@.";
   List.iteri (fun i l -> if i < 25 then print_endline l) r.Analysis.result.Bfs.log;

@@ -8,9 +8,7 @@ type recommendation = {
   projected_speedup : float;
 }
 
-let recommend_target ?(options = Bfs.default_options) ?(params = Cost.default)
-    (target : Bfs.Target.t) ~setup =
-  let result = Bfs.search ~options target in
+let of_result ?(params = Cost.default) (target : Bfs.Target.t) ~setup result =
   let program = target.Bfs.Target.program in
   let config_text = Config.print program result.Bfs.final in
   let counts = target.Bfs.Target.profile () in
@@ -38,7 +36,7 @@ let recommend_target ?(options = Bfs.default_options) ?(params = Cost.default)
 
 let recommend ?options ?params ~program ~setup ~output ~verify () =
   let target = Bfs.Target.make program ~setup ~output ~verify in
-  recommend_target ?options ?params target ~setup
+  of_result ?params target ~setup (Bfs.search ?options target)
 
 let pp_summary ppf r =
   let res = r.result in

@@ -6,7 +6,9 @@
     evaluates the expected benefit of applying it (cost model of the
     source-level conversion), and returns everything a developer needs:
     the recommended configuration, its exchange-format text, the search
-    statistics, and the projected speedup. *)
+    statistics, and the projected speedup. [of_result] builds the same
+    report for a campaign that ran elsewhere — [craft search] runs every
+    strategy through [Campaign.run] and reports it here. *)
 
 type recommendation = {
   result : Bfs.result;  (** full search result, including the final config *)
@@ -32,13 +34,13 @@ val recommend :
   unit ->
   recommendation
 
-val recommend_target :
-  ?options:Bfs.options ->
-  ?params:Cost.params ->
-  Bfs.Target.t ->
-  setup:(Vm.t -> unit) ->
-  recommendation
-(** Same, from an existing search target ([setup] is needed again to run
-    the cost-model executions). *)
+val of_result :
+  ?params:Cost.params -> Bfs.Target.t -> setup:(Vm.t -> unit) -> Bfs.result -> recommendation
+(** The recommendation for a finished campaign [result] on [target], of
+    any strategy: the final configuration's exchange text, its tree view
+    weighted by [target]'s profile, its format census, and the modeled
+    cost of the native program against the suggested conversion ([setup]
+    is needed again to run those two executions). [recommend] is
+    {!Bfs.search} followed by [of_result]. *)
 
 val pp_summary : Format.formatter -> recommendation -> unit

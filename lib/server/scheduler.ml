@@ -12,6 +12,7 @@ let default_options =
 type job = {
   id : string;
   spec : Wire.job_spec;
+  campaign : Campaign.t;  (* the spec, validated *)
   kernel : Kernel.t;
   mutable state : Wire.job_state;
   mutable tested : int;
@@ -71,6 +72,32 @@ let status_of j =
     wall = (j.wall +. if j.state = Wire.Running then now () -. j.started else 0.0);
   }
 
+(* A spec is admitted when [Campaign.of_spec] validates it and [resolve]
+   finds its benchmark — at submission and again at WAL recovery. *)
+let admit t (spec : Wire.job_spec) =
+  Result.bind (Campaign.of_spec spec) (fun c -> Result.map (fun k -> (c, k)) (t.resolve spec))
+  |> Result.map_error (Printf.sprintf "cannot resolve %s.%s: %s" spec.Wire.bench spec.Wire.cls)
+
+let new_job id spec (campaign, kernel) =
+  {
+    id;
+    spec;
+    campaign;
+    kernel;
+    state = Wire.Queued;
+    tested = 0;
+    hits = 0;
+    misses = 0;
+    started = 0.0;
+    wall = 0.0;
+    events_rev = [];
+    n_events = 0;
+    stop = Atomic.make false;
+    deaths = 0;
+    config_text = "";
+    summary = "";
+  }
+
 (* ------------------------------------------------------------- campaigns *)
 
 (* Run one campaign for [j]. Returns the job's terminal state. Called
@@ -121,52 +148,13 @@ let run_campaign t j =
     verdict
   in
   let target = { harnessed with Bfs.Target.eval } in
-  let shadow =
-    if not j.spec.Wire.shadow then None
-    else begin
-      Mutex.protect t.lock (fun () -> event t j "SHADOW tracing %s" k.Kernel.name);
-      let tracer =
-        Shadow_tracer.create
-          ~config:(Shadow_tracer.all_single ~base:k.Kernel.hints k.Kernel.program)
-          k.Kernel.program
-      in
-      let (_ : Vm.t) = Shadow_tracer.trace tracer ~setup:k.Kernel.setup in
-      Some (Bfs.shadow (Shadow_report.make ~base:k.Kernel.hints k.Kernel.program tracer))
-    end
+  if j.spec.Wire.shadow then
+    Mutex.protect t.lock (fun () -> event t j "SHADOW tracing %s" k.Kernel.name);
+  let res =
+    Campaign.run ~pool:t.pool
+      ~stop:(fun () -> Atomic.get j.stop || Atomic.get t.kill)
+      ~workers:t.opts.wave_width k j.campaign target
   in
-  let formats =
-    (* the menu was validated at submission; a WAL-recovered job whose
-       saved menu no longer parses falls back to the single-only default
-       instead of wedging the runner *)
-    match j.spec.Wire.formats with
-    | "" -> Bfs.default_options.Bfs.formats
-    | m -> (
-        match Formats.menu_of_string m with
-        | Ok menu -> menu
-        | Error _ -> Bfs.default_options.Bfs.formats)
-  in
-  let options =
-    {
-      Bfs.default_options with
-      workers = t.opts.wave_width;
-      base = k.Kernel.hints;
-      pool = Some t.pool;
-      shadow;
-      formats;
-      stop = (fun () -> Atomic.get j.stop || Atomic.get t.kill);
-    }
-  in
-  let strategy =
-    (* validated at submission, like the menu; a WAL-recovered job whose
-       saved token no longer parses falls back to the default bfs *)
-    match Strategy.of_string j.spec.Wire.strategy with
-    | Ok tok -> tok
-    | Error _ -> Strategy.Bfs
-  in
-  (* Strategy.run with Bfs IS Bfs.search — same moves; the other
-     strategies drive the same wrapped eval path (store, fleet offload)
-     through their wave machines *)
-  let res = Strategy.run ~options strategy target in
   let summary =
     Printf.sprintf
       "tested %d (%d from store), static %.1f%%, dynamic %.1f%%, %d bits saved, final %s"
@@ -310,31 +298,10 @@ let recover t root wal_path =
            with
           | Some n -> t.next_id <- max t.next_id n
           | None -> ());
-          match t.resolve spec with
-          | Error why ->
-              t.echo
-                (Printf.sprintf "%s: not recovered (cannot resolve %s.%s: %s)" id
-                   spec.Wire.bench spec.Wire.cls why)
-          | Ok kernel ->
-              let j =
-                {
-                  id;
-                  spec;
-                  kernel;
-                  state = Wire.Queued;
-                  tested = 0;
-                  hits = 0;
-                  misses = 0;
-                  started = 0.0;
-                  wall = 0.0;
-                  events_rev = [];
-                  n_events = 0;
-                  stop = Atomic.make false;
-                  deaths = 0;
-                  config_text = "";
-                  summary = "";
-                }
-              in
+          match admit t spec with
+          | Error why -> t.echo (Printf.sprintf "%s: not recovered (%s)" id why)
+          | Ok admitted ->
+              let j = new_job id spec admitted in
               Hashtbl.replace t.jobs id j;
               t.order <- id :: t.order;
               (match outcome with
@@ -395,50 +362,13 @@ let create ?(options = default_options) ?(log = ignore) ?fleet ~resolve ~pool ~c
   t
 
 let submit t spec =
-  match
-    (* a bad formats menu or an unknown strategy token is the submitter's
-       error, caught before the job can queue (and long before a runner
-       would have to guess) *)
-    match
-      match spec.Wire.strategy with
-      | "" -> Ok ()
-      | s -> Result.map (fun (_ : Strategy.token) -> ()) (Strategy.of_string s)
-    with
-    | Error why -> Error why
-    | Ok () -> (
-        match spec.Wire.formats with
-        | "" -> t.resolve spec
-        | m -> (
-            match Formats.menu_of_string m with
-            | Error why -> Error why
-            | Ok _ -> t.resolve spec))
-  with
-  | Error why -> Error (Printf.sprintf "cannot resolve %s.%s: %s" spec.Wire.bench spec.Wire.cls why)
-  | Ok kernel ->
+  Result.bind (admit t spec) (fun admitted ->
       Mutex.protect t.lock (fun () ->
           if not t.accepting then Error "server is draining; not accepting new campaigns"
           else begin
             t.next_id <- t.next_id + 1;
             let id = Printf.sprintf "j%04d" t.next_id in
-            let j =
-              {
-                id;
-                spec;
-                kernel;
-                state = Wire.Queued;
-                tested = 0;
-                hits = 0;
-                misses = 0;
-                started = 0.0;
-                wall = 0.0;
-                events_rev = [];
-                n_events = 0;
-                stop = Atomic.make false;
-                deaths = 0;
-                config_text = "";
-                summary = "";
-              }
-            in
+            let j = new_job id spec admitted in
             Hashtbl.replace t.jobs id j;
             t.order <- id :: t.order;
             Option.iter (fun wal -> Wal.append wal (Wal.Submitted { id; spec })) t.wal;
@@ -446,7 +376,7 @@ let submit t spec =
               spec.Wire.priority;
             Condition.broadcast t.cond;
             Ok id
-          end)
+          end))
 
 let find t id = Hashtbl.find_opt t.jobs id
 

@@ -23,7 +23,10 @@
     every submission and every terminal outcome is appended to a job-table
     {!Wal} under the state dir (terminal configurations also land in a
     per-job [result] file, written atomically), and {!create} replays it —
-    finished jobs are re-listed with their persisted result, unfinished
+    each recovered spec is admitted again as {!submit} admits one, and a
+    spec that no longer validates or resolves is dropped with a
+    [not recovered] log line; finished jobs are re-listed with their
+    persisted result, unfinished
     ones are re-queued and re-walk their campaigns against the replayed
     store exactly as after a driver death. Combined with a durable
     {!Store} a [kill -9]'d daemon restarted on the same state dir loses no
@@ -70,8 +73,12 @@ val create :
     means each key reaches the fleet at most once, server-wide. *)
 
 val submit : t -> Wire.job_spec -> (string, string) result
-(** Queue a campaign; returns its job id. [Error] after {!shutdown}, or
-    when [resolve] rejects the spec outright. *)
+(** Queue a campaign; returns its job id. [Error] after {!shutdown}, when
+    {!Campaign.of_spec} rejects the spec's strategy token or format menu
+    (the message names the token), or when [resolve] rejects its
+    benchmark. A queued job runs through {!Campaign.run}, as
+    [craft search] does, with the scheduler's wave width, pool and stop
+    request. *)
 
 val status : t -> string option -> (Wire.job_status list, string) result
 (** One job's status, or every job's (submission order). *)

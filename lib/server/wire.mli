@@ -18,8 +18,9 @@
 type job_spec = {
   bench : string;  (** benchmark name, e.g. ["cg"] *)
   cls : string;  (** problem class, e.g. ["W"] *)
-  shadow : bool;  (** run the shadow-value analysis first and let it
-                      seed/reorder the campaign *)
+  shadow : bool;
+      (** run the shadow-value analysis first and let it seed, reorder and
+          prune the campaign ({!Campaign.run}) *)
   priority : int;  (** scheduling priority; higher runs first *)
   eval_steps : int option;  (** per-evaluation VM step budget override *)
   formats : string;

@@ -30,8 +30,8 @@ val default_seed : int
 val of_string : string -> (token, string) result
 (** Parse a strategy token: [""] and ["bfs"] are {!token.Bfs}; ["split"],
     ["delta"], ["anneal"], ["anneal:<seed>"] as expected. Anything else is
-    a descriptive [Error] — the typed validation the scheduler and CLI
-    apply to submitted strategy tokens. *)
+    a descriptive [Error] — the typed validation [Campaign.of_spec]
+    applies to every campaign's strategy token, inline or served. *)
 
 val to_string : token -> string
 (** Inverse of {!of_string} ([Anneal default_seed] prints ["anneal"]). *)

@@ -662,12 +662,12 @@ let synthetic_kernel ?(name = "syn.W") ~n_ops ~poison () =
 let default_spec =
   { Wire.bench = "syn"; cls = "W"; shadow = false; priority = 0; eval_steps = None; formats = ""; strategy = "" }
 
-let with_stack ?(state_dir = None) ~resolve f =
+let with_stack ?log ?(state_dir = None) ~resolve f =
   let pool = Pool.create ~options:{ Pool.default_options with workers = 2 } () in
   let cache = Compile.create_cache () in
   let store = Store.create () in
   let options = { Scheduler.default_options with state_dir } in
-  let sched = Scheduler.create ~options ~resolve ~pool ~cache ~store () in
+  let sched = Scheduler.create ~options ?log ~resolve ~pool ~cache ~store () in
   Fun.protect
     ~finally:(fun () ->
       Scheduler.shutdown sched ~cancel_running:true ();
@@ -721,6 +721,42 @@ let test_scheduler_recovers_job_table () =
           checks "next id continues" "j0003" id3;
           let _ = wait_done sched id3 in
           ()))
+
+(* Recovery validates a spec again, as submission does: a WAL record
+   whose strategy token or format menu no longer parses is dropped with a
+   log line naming the token, never run under a default. *)
+let test_scheduler_drops_invalid_recovered_specs () =
+  let dir = temp_dir "craft_recover" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      let wal = Wal.create ~path:(Filename.concat dir "jobs.wal") in
+      List.iter
+        (fun (id, spec) -> Wal.append wal (Wal.Submitted { id; spec }))
+        [
+          ("j0001", { default_spec with Wire.strategy = "zz9" });
+          ("j0002", { default_spec with Wire.formats = "bf16,zz9" });
+          ("j0003", default_spec);
+        ];
+      Wal.close wal;
+      let lock = Mutex.create () in
+      let lines = ref [] in
+      let log s = Mutex.protect lock (fun () -> lines := s :: !lines) in
+      let k = synthetic_kernel ~n_ops:3 ~poison:[ 1 ] () in
+      with_stack ~log ~state_dir:(Some dir) ~resolve:(fun _ -> Ok k) (fun sched ->
+          Alcotest.(check (list string))
+            "only the valid job is re-listed" [ "j0003" ]
+            (List.map (fun s -> s.Wire.id) (Result.get_ok (Scheduler.status sched None)));
+          let dropped id what =
+            match
+              Mutex.protect lock (fun () ->
+                  List.find_opt (String.starts_with ~prefix:(id ^ ": not recovered")) !lines)
+            with
+            | Some l -> checkb (id ^ " names its bad token") true (contains l what && contains l "zz9")
+            | None -> Alcotest.failf "no log line drops %s" id
+          in
+          dropped "j0001" "strategy";
+          dropped "j0002" "format";
+          let status, _, _ = wait_done sched "j0003" in
+          checkb "the valid job re-ran to done" true (status.Wire.state = Wire.Done)))
 
 let test_events_cursor_resets_after_restart () =
   let dir = temp_dir "craft_recover" in
@@ -946,6 +982,8 @@ let suite =
     Alcotest.test_case "lockfile: acquire/release/stale-reclaim" `Quick test_lockfile;
     Alcotest.test_case "scheduler: WAL recovery re-lists and re-runs" `Quick
       test_scheduler_recovers_job_table;
+    Alcotest.test_case "scheduler: WAL recovery drops a spec that no longer validates" `Quick
+      test_scheduler_drops_invalid_recovered_specs;
     Alcotest.test_case "scheduler: stale event cursors restart the stream" `Quick
       test_events_cursor_resets_after_restart;
     Alcotest.test_case "daemon: kill -9 mid-campaign, restart, identical final" `Slow

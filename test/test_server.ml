@@ -245,6 +245,27 @@ let test_store_keys_the_input () =
       checki "tested as run alone" alone.Wire.tested status.Wire.tested;
       checki "store hits as run alone" alone.Wire.store_hits status.Wire.store_hits)
 
+(* The daemon and [craft search] run a spec through the one recipe, so a
+   served shadow-guided campaign prunes like an inline one: cg.W tests 27
+   configurations (6 pruned) both ways and ends on the same final. *)
+let test_served_shadow_equals_inline () =
+  let k = Nas_cg.make Kernel.W in
+  let spec = { default_spec with Wire.bench = "cg"; shadow = true } in
+  let campaign = Result.get_ok (Campaign.of_spec spec) in
+  let inline = Campaign.run ~workers:1 k campaign (Kernel.target k) in
+  checki "inline tested" 27 inline.Bfs.tested;
+  checki "inline pruned" 6 inline.Bfs.pruned;
+  let options = { Scheduler.default_options with wave_width = 2 } in
+  with_stack ~options ~resolve:(fun _ -> Ok k) (fun sched _ ->
+      let id = Result.get_ok (Scheduler.submit sched spec) in
+      let status, text, _ = wait_done sched id in
+      checkb "done" true (status.Wire.state = Wire.Done);
+      checki "served tested = inline tested" inline.Bfs.tested status.Wire.tested;
+      Alcotest.(check string)
+        "served final = inline final"
+        (Config.print k.Kernel.program inline.Bfs.final)
+        text)
+
 let test_priorities_and_cancel () =
   let k = synthetic_kernel ~delay:0.01 ~n_ops:6 ~poison:[ 0 ] () in
   let log_lock = Mutex.create () in
@@ -533,6 +554,9 @@ let suite =
     ( "scheduler: ep.A after ep.W on one store matches ep.A alone",
       `Quick,
       test_store_keys_the_input );
+    ( "scheduler: served shadow-guided cg.W equals inline",
+      `Quick,
+      test_served_shadow_equals_inline );
     ("scheduler: priorities and cancellation", `Quick, test_priorities_and_cancel);
     ("scheduler: poison job is quarantined", `Quick, test_poison_job_quarantine);
     ("scheduler: resolve rejection and unknown jobs", `Quick, test_resolve_rejection);
