@@ -168,8 +168,8 @@ let retries_arg =
     value & opt int 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Retry budget per evaluation for flaky verdicts (trap, step-timeout, crash); \
-           each retry runs at once. A pass or a verification failure is final: the VM \
+          "Retry budget per evaluation for flaky verdicts (step-timeout, crash); each \
+           retry runs at once. A pass, a verification failure or a trap is final: the VM \
            is deterministic, so another run would repeat it.")
 
 let eval_steps_arg =
@@ -189,9 +189,9 @@ let inject_arg =
         ~doc:
           "Arm the deterministic fault injector around every evaluation, e.g. \
            $(b,seed=7,rate=0.2,modes=trap+hang+bitflip,transient) — a demo that the \
-           harness contains every failure mode. A silent fault (bitflip, corrupt) that \
-           makes verification fail is reported as a crash, so $(b,--retries) reruns it \
-           like any other injected fault; a genuine verification failure is never \
+           harness contains every failure mode. An injected trap, and a silent fault \
+           (bitflip, corrupt) that makes verification fail, are reported as crashes, so \
+           $(b,--retries) reruns them; a genuine verification failure or trap is never \
            rerun.")
 
 let deadline_arg =
@@ -240,11 +240,10 @@ let search_cmd =
   let run name cls workers out strategy journal_path resume retries eval_steps inject
       deadline quarantine_after shadow formats =
     with_kernel name cls (fun k ->
-        let campaign =
-          or_die
-            (Campaign.of_spec
-               { Wire.bench = name; cls; shadow; priority = 0; eval_steps; formats; strategy })
+        let spec =
+          { Wire.bench = name; cls; shadow; priority = 0; eval_steps; formats; strategy }
         in
+        let campaign = or_die (Campaign.of_spec spec) in
         if resume && journal_path = None then begin
           prerr_endline "craft: --resume requires --journal FILE";
           exit 1
@@ -254,15 +253,14 @@ let search_cmd =
             (fun text -> or_die (Result.map_error (fun e -> "--inject: " ^ e) (Faults.parse text)))
             inject
         in
-        let faults = Option.map Faults.create inject in
-        let harness, target = Harness.wrap_target ~retries (Kernel.target ?eval_steps ?faults k) in
+        let ctx = Campaign.context ~retries ?inject spec in
+        let faults, harness, target = Campaign.target ctx k in
         let journal =
           Option.map (fun path -> (path, or_die (Store.open_journal ~resume ~path))) journal_path
         in
         let target =
           match journal with
-          | Some (_, store) ->
-              Store.wrap_target store ~context:(Store.context ?eval_steps ?inject k) target
+          | Some (_, store) -> Store.wrap_target store ~context:(Store.context ctx k) target
           | None -> target
         in
         (* The supervised pool is staffed whenever parallelism or a deadline
@@ -455,38 +453,36 @@ let snippet_cmd =
     (Cmd.info "snippet" ~doc:"Show the single-precision replacement snippet (paper Fig. 6)")
     Term.(const run $ const ())
 
-(* The per-verdict tally of a store log, for [craft journal] and
-   [craft store]. *)
-let print_tally path =
-  let records = Store.scan ~path in
-  Format.printf "%s: %d record(s)@." path (List.length records);
-  List.iter
-    (fun label ->
-      match List.filter (fun (_, v) -> Verdict.verdict_label v = label) records with
-      | [] -> ()
-      | hits -> Format.printf "  %-8s %d@." label (List.length hits))
-    [ "pass"; "fail"; "trap"; "timeout"; "crash"; "pruned" ]
-
 let journal_cmd =
   let path_arg =
     Arg.(
       required
       & pos 0 (some file) None
       & info [] ~docv:"FILE"
-          ~doc:"Log written by $(b,craft search --journal) or by $(b,craft serve).")
+          ~doc:
+            "Store log written by $(b,craft search --journal) or by $(b,craft serve) \
+             ($(i,state-dir)/store.log), or a job WAL ($(i,state-dir)/jobs.wal).")
   in
   let verify_arg =
     Arg.(
       value & flag
       & info [ "verify" ]
           ~doc:
-            "Integrity scan of a store log (a $(b,--journal) file or \
-             $(i,state-dir)/store.log) or a job WAL, told apart by the header line: \
+            "Integrity scan of a store log or a job WAL, told apart by the header line: \
              record count, trailing corruption (the half-record a crash legitimately \
              leaves — tolerated), and torn records (unparseable lines $(i,before) the \
              last good one — exit status 1).")
   in
-  let run path verify =
+  let compact_arg =
+    Arg.(
+      value & flag
+      & info [ "compact" ]
+          ~doc:
+            "Rewrite a store log offline with one record per distinct key \
+             (write-temp/fsync/rename); run between daemon lifetimes, not under a live \
+             one.")
+  in
+  let run path verify compact =
     if verify then begin
       let first = In_channel.with_open_bin path In_channel.input_line in
       let is (codec : _ Durable_log.codec) =
@@ -515,49 +511,28 @@ let journal_cmd =
         exit 1
       end
     end
-    else print_tally path
+    else if compact then begin
+      let kept, dropped = or_die (Store.compact ~path) in
+      Format.printf "%s: compacted — %d record(s) kept, %d dropped@." path kept dropped
+    end
+    else begin
+      let records = Store.scan ~path in
+      Format.printf "%s: %d record(s)@." path (List.length records);
+      List.iter
+        (fun label ->
+          match List.filter (fun (_, v) -> Verdict.verdict_label v = label) records with
+          | [] -> ()
+          | hits -> Format.printf "  %-8s %d@." label (List.length hits))
+        [ "pass"; "fail"; "trap"; "timeout"; "crash"; "pruned" ]
+    end
   in
   Cmd.v
     (Cmd.info "journal"
        ~doc:
-         "Inspect the log of a $(b,craft search --journal) campaign: per-verdict counts \
-          (read-only); $(b,--verify) scans a store log or job WAL for damage")
-    Term.(const run $ path_arg $ verify_arg)
-
-let store_cmd =
-  let path_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"Store log written by $(b,craft serve) ($(i,state-dir)/store.log).")
-  in
-  let compact_arg =
-    Arg.(
-      value & flag
-      & info [ "compact" ]
-          ~doc:
-            "Rewrite the log offline with one record per distinct key \
-             (write-temp/fsync/rename); run between daemon lifetimes, not under a live \
-             one.")
-  in
-  let run path compact =
-    if compact then begin
-      match Store.compact ~path with
-      | Ok (kept, dropped) ->
-          Format.printf "%s: compacted — %d record(s) kept, %d dropped@." path kept dropped
-      | Error why ->
-          prerr_endline ("craft: " ^ why);
-          exit 1
-    end
-    else print_tally path
-  in
-  Cmd.v
-    (Cmd.info "store"
-       ~doc:
-         "Inspect the daemon's durable cross-campaign result store log (read-only), or \
-          $(b,--compact) it offline")
-    Term.(const run $ path_arg $ compact_arg)
+         "Inspect a result-store log ($(b,craft search --journal) or $(b,craft serve)): \
+          per-verdict counts (read-only); $(b,--verify) scans a store log or job WAL for \
+          damage, $(b,--compact) rewrites a store log offline")
+    Term.(const run $ path_arg $ verify_arg $ compact_arg)
 
 (* --------------------------------------------------------- campaign server *)
 
@@ -769,13 +744,12 @@ let worker_cmd =
              mid-batch, proving out the daemon's requeue/rejoin machinery. A drawn \
              $(b,kill) exits with status 137, like a real SIGKILL.")
   in
-  let run socket tcp name capacity inject chaos =
+  let run socket tcp name capacity chaos =
     let addr = server_addr socket tcp in
     let log s = Printf.printf "worker: %s\n%!" s in
-    let faults = Option.map (fun s -> Faults.create (or_die (Faults.parse s))) inject in
     let chaos = Option.map (fun s -> Chaos.create (or_die (Chaos.parse s))) chaos in
     let resolve ~bench ~cls = Result.bind (class_of_string cls) (load bench) in
-    match Worker.run ?name ~capacity ?faults ?chaos ~log ~resolve addr with
+    match Worker.run ?name ~capacity ?chaos ~log ~resolve addr with
     | stats ->
         log
           (Printf.sprintf "done — %d evaluated, %d pushed, %d skipped, %d batch(es), %d rejoin(s)"
@@ -793,7 +767,7 @@ let worker_cmd =
           back; survives daemon restarts and dropped connections by rejoining with \
           result-store delta sync")
     Term.(
-      const run $ socket_arg $ tcp_arg $ name_arg $ capacity_arg $ inject_arg $ chaos_arg)
+      const run $ socket_arg $ tcp_arg $ name_arg $ capacity_arg $ chaos_arg)
 
 let priority_arg =
   Arg.(
@@ -944,7 +918,6 @@ let main =
       asm_run_cmd;
       snippet_cmd;
       journal_cmd;
-      store_cmd;
       serve_cmd;
       worker_cmd;
       submit_cmd;

@@ -9,12 +9,12 @@
 
     - containment: no exception whatsoever escapes {!eval};
     - bounded retries for flaky verdicts — exactly those for which
-      {!Verdict.is_flaky} holds (trap, step-timeout, crash) — so transient
-      faults don't turn into permanent search decisions. A pass or a
-      verification failure is final: the VM is deterministic, so running
-      it again would only repeat it. Injected silent corruption that
-      fails verification is not a verification failure: the evaluator
-      raises {!Faults.Corrupted}, a crash, which is retried like any other;
+      {!Verdict.is_flaky} holds (step-timeout, crash) — so transient
+      faults don't turn into permanent search decisions. A pass, a
+      verification failure or a VM trap is final: the VM is
+      deterministic. An injected trap ({!Faults.Injected}) or silent
+      corruption that fails verification ({!Faults.Corrupted}) is a
+      crash, retried like any other;
     - per-verdict counters for the end-of-campaign breakdown report.
 
     Flakiness only enters through {!Faults} injection or a genuinely

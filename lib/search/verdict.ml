@@ -100,8 +100,8 @@ let pp_verdict ppf = function
   | Pruned reason -> Format.fprintf ppf "pruned (%s)" reason
 
 let is_flaky = function
-  | Trapped _ | Step_timeout | Crashed _ -> true
-  | Pass | Fail_verify | Pruned _ -> false
+  | Step_timeout | Crashed _ -> true
+  | Pass | Fail_verify | Trapped _ | Pruned _ -> false
 
 let classify_exn = function
   | Vm.Trap (addr, reason) -> Trapped (addr, reason)

@@ -30,7 +30,7 @@ val verdict_label : verdict -> string
 
 val verdict_to_string : verdict -> string
 (** Compact single-token serialization (no spaces; payloads are
-    percent-escaped), e.g. ["trap:0x00001f:injected%20fault"]. Used by the
+    percent-escaped), e.g. ["crash:out%20of%20memory"]. Used by the
     store log and the wire protocol. *)
 
 val verdict_of_string : string -> verdict option
@@ -39,8 +39,8 @@ val verdict_of_string : string -> verdict option
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val is_flaky : verdict -> bool
-(** True for {!Trapped}, {!Step_timeout} and {!Crashed} — the verdicts a
-    retry might change when faults are transient. *)
+(** True for {!Step_timeout} and {!Crashed} — the verdicts a retry might
+    change when faults are transient. A VM trap is deterministic. *)
 
 val classify : (unit -> bool) -> verdict
 (** Run one evaluation thunk and classify its outcome. Total: maps

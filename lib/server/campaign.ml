@@ -9,6 +9,17 @@ let of_spec (spec : Wire.job_spec) =
   Result.bind (Strategy.of_string spec.Wire.strategy) (fun strategy ->
       Result.map (fun formats -> { strategy; formats; shadow = spec.Wire.shadow }) formats)
 
+let context ?(retries = 0) ?inject (spec : Wire.job_spec) =
+  { Wire.bench = spec.bench; cls = spec.cls; eval_steps = spec.eval_steps; retries; inject }
+
+let target ?cache (ctx : Wire.context) k =
+  let faults = Option.map Faults.create ctx.inject in
+  let harness, target =
+    Harness.wrap_target ~retries:ctx.retries
+      (Kernel.target ?eval_steps:ctx.eval_steps ?faults ?cache k)
+  in
+  (faults, harness, target)
+
 let prune_above = 0.1
 
 (* One traced native run of the unpatched kernel, priced against an

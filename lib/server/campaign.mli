@@ -4,9 +4,10 @@
     [craft search] and the campaign daemon ({!Scheduler}) both describe a
     campaign as a {!Wire.job_spec}, validate it with {!of_spec} and run
     it with {!run}, so an inline and a served campaign of one spec make
-    the same moves by construction. What differs between the two stays
-    with the caller: the evaluation stack under the target (harness,
-    result store, fleet offload), the pool and the stop request. *)
+    the same moves by construction, on the evaluator {!target} builds
+    from the spec's {!context}. What differs stays with the caller: the
+    stack over the target (result store, fleet offload), the pool and
+    the stop request. *)
 
 type t
 (** A validated spec: its strategy token and format menu parsed, and its
@@ -16,8 +17,18 @@ val of_spec : Wire.job_spec -> (t, string) result
 (** The one validator of a spec's [strategy] token
     ({!Strategy.of_string}: [""] is [bfs]) and [formats] menu
     ({!Formats.menu_of_string}: [""] is the single-only default).
-    [Error] names the rejected token. The spec's [bench], [cls],
-    [priority] and [eval_steps] are the caller's to resolve. *)
+    [Error] names the rejected token. The spec's [bench], [cls] and
+    [eval_steps] are its {!context}; [priority] is the scheduler's. *)
+
+val context : ?retries:int -> ?inject:Faults.spec -> Wire.job_spec -> Wire.context
+(** The spec's evaluation context, with a retry budget (default 0) and,
+    inline only, an inject spec. *)
+
+val target :
+  ?cache:Compile.cache -> Wire.context -> Kernel.t -> Faults.t option * Harness.t * Bfs.Target.t
+(** The one evaluator builder: the kernel's target under the context's
+    step budget and injector, in a harness with its retry budget. Returns
+    the injector, the harness and the harnessed target. *)
 
 val run :
   ?pool:Pool.t ->

@@ -19,8 +19,6 @@ let default_options =
     quarantine_after = 3;
   }
 
-type ctx = { bench : string; cls : string; eval_steps : int option; retries : int }
-
 (* Queued -> Leased -> Done is the happy path. Local is the waiter's
    reclaim: the item went back to in-process evaluation (deadline hit, or
    the fleet emptied out) and any late remote verdict for it is a stale
@@ -30,7 +28,7 @@ type item_state = Queued | Leased of string | Done of Verdict.verdict | Local
 type item = {
   key : string;
   text : string;
-  ctx : ctx;
+  ctx : Wire.context;
   mutable state : item_state;
   enqueued : float;
 }
@@ -367,9 +365,9 @@ let hello t ~name ~wire_version ~reconnect ~capacity =
                   welcome t w ~wire_version ~already_done:[]
                 end))
 
-(* Lock held: carve a batch out of the queued items. One batch holds one
-   evaluation context (bench + options) so the worker builds one target
-   and harness per lease. *)
+(* Lock held: carve a batch out of the queued items. One batch holds the
+   items of the oldest item's evaluation context, so the worker builds one
+   target and harness per context. *)
 let grab_batch t w capacity =
   let cap = max 1 (min (min capacity w.capacity) t.opts.max_batch) in
   let queued =
@@ -377,25 +375,19 @@ let grab_batch t w capacity =
   in
   match List.sort (fun a b -> compare a.enqueued b.enqueued) queued with
   | [] -> None
-  | first :: _ ->
+  | first :: _ as queued ->
       let picked =
-        List.filteri (fun i _ -> i < cap)
-          (List.filter (fun it -> it.ctx = first.ctx)
-             (List.sort (fun a b -> compare a.enqueued b.enqueued) queued))
+        List.filteri (fun i _ -> i < cap) (List.filter (fun it -> it.ctx = first.ctx) queued)
       in
       t.next_lid <- t.next_lid + 1;
       let lid = Printf.sprintf "l%04d" t.next_lid in
       List.iter (fun it -> it.state <- Leased lid) picked;
-      let l = { lid; items = picked; issued = now () } in
-      w.lease <- Some l;
+      w.lease <- Some { lid; items = picked; issued = now () };
       t.leases <- t.leases + 1;
       Some
         {
           Wire.lease = lid;
-          bench = first.ctx.bench;
-          cls = first.ctx.cls;
-          eval_steps = first.ctx.eval_steps;
-          retries = first.ctx.retries;
+          context = first.ctx;
           items = List.map (fun it -> (it.key, it.text)) picked;
         }
 

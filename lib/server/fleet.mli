@@ -52,15 +52,6 @@ val default_options : options
 (** heartbeat 2s, grace 2s, lease TTL 60s, item deadline 300s, poll 1s,
     batch 8, quarantine after 3 strikes. *)
 
-type ctx = {
-  bench : string;
-  cls : string;
-  eval_steps : int option;
-  retries : int;  (** harness retry budget workers must apply *)
-}
-(** Everything a worker needs to rebuild the evaluation environment; one
-    lease carries one context. *)
-
 type stats = {
   joined : int;
   rejoined : int;
@@ -84,7 +75,7 @@ val stop : t -> unit
 
 val eval :
   t ->
-  ctx:ctx ->
+  ctx:Wire.context ->
   key:string ->
   text:string ->
   (unit -> Verdict.verdict) ->
@@ -95,7 +86,9 @@ val eval :
     item waits past [item_deadline]. [key] must be unique among in-flight
     items — the scheduler guarantees this by calling [eval] inside
     {!Store.find_or_compute}. [text] is the {!Config.print} exchange form
-    workers parse back. Blocks until a verdict exists. *)
+    workers parse back. [ctx] is the context [key] was built from: a
+    lease holds items of one context and carries it ({!Wire.batch}).
+    Blocks until a verdict exists. *)
 
 val handle : t -> Wire.frame -> Wire.frame option
 (** Dispatch one fleet frame (hello / lease request / result push /

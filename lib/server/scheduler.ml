@@ -104,12 +104,10 @@ let new_job id spec (campaign, kernel) =
    without the lock; takes it only for counters and events. *)
 let run_campaign t j =
   let k = j.kernel in
-  let target =
-    Kernel.target ?eval_steps:j.spec.Wire.eval_steps ~cache:t.cache k
-  in
-  let _, harnessed = Harness.wrap_target ~retries:t.opts.retries target in
+  let ctx = Campaign.context ~retries:t.opts.retries j.spec in
+  let _, _, harnessed = Campaign.target ~cache:t.cache ctx k in
   let program_key = Store.program_key k.Kernel.program in
-  let context = Store.context ?eval_steps:j.spec.Wire.eval_steps k in
+  let context = Store.context ctx k in
   let eval cfg =
     let config_digest = Config.digest k.Kernel.program cfg in
     let key = Store.key ~program_key ~context ~config_digest in
@@ -122,14 +120,6 @@ let run_campaign t j =
       match t.fleet with
       | None -> harnessed.Bfs.Target.eval cfg
       | Some fleet ->
-          let ctx =
-            {
-              Fleet.bench = j.spec.Wire.bench;
-              cls = j.spec.Wire.cls;
-              eval_steps = j.spec.Wire.eval_steps;
-              retries = t.opts.retries;
-            }
-          in
           let text = Config.print k.Kernel.program cfg in
           let verdict, origin =
             Fleet.eval fleet ~ctx ~key ~text (fun () -> harnessed.Bfs.Target.eval cfg)

@@ -6,8 +6,9 @@
     through the one shared {!Pool} (so the machine's worker domains are a
     single resource, not per-campaign fleets), compiled blocks land in the
     one shared {!Compile.cache}, and verdicts are memoized in the
-    cross-campaign {!Store}, keyed under {!Store.context} (the kernel's
-    input and the job's step budget) — identical evaluations submitted by different
+    cross-campaign {!Store}, keyed under the {!Store.context} of the
+    job's {!Wire.context}, the record its evaluator is also built from
+    ({!Campaign.target}) — identical evaluations submitted by different
     clients run once, server-wide.
 
     Failure containment mirrors {!Pool}'s semantics one level up: an
@@ -69,8 +70,9 @@ val create :
 
     With [fleet], store misses are offered to the worker fleet inside the
     store's compute closure ({!Fleet.eval}, falling back to the local
-    harness when the fleet is empty or slow); the store's in-flight dedup
-    means each key reaches the fleet at most once, server-wide. *)
+    harness when the fleet is empty or slow) with the job's context; the
+    store's in-flight dedup means each key reaches the fleet at most once,
+    server-wide. *)
 
 val submit : t -> Wire.job_spec -> (string, string) result
 (** Queue a campaign; returns its job id. [Error] after {!shutdown}, when

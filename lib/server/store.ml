@@ -129,17 +129,19 @@ let program_key program =
    data the verification routine compares against. Every evaluation runs
    on the compiled backend, so [backend=compiled] is a constant; it stays
    in the key so store logs written when the engine was a choice keep
-   hitting. *)
-let context ?eval_steps ?inject (k : Kernel.t) =
+   hitting. The record's bench and class reach the key through the
+   kernel; its retry budget stays out, so keys keep their pre-record
+   bytes. *)
+let context (ctx : Wire.context) (k : Kernel.t) =
   let reference =
     fnv1a (fun mix ->
         Array.iter (fun x -> mix (Printf.sprintf "%016Lx" (Int64.bits_of_float x))) k.reference)
   in
   String.concat ";"
     (Printf.sprintf "steps=%s;backend=compiled;input=%s;reference=%s"
-       (match eval_steps with None -> "default" | Some n -> string_of_int n)
+       (match ctx.eval_steps with None -> "default" | Some n -> string_of_int n)
        k.name reference
-    :: Option.to_list (Option.map (fun spec -> "inject=" ^ Faults.to_string spec) inject))
+    :: Option.to_list (Option.map (fun spec -> "inject=" ^ Faults.to_string spec) ctx.inject))
 
 (* Lock held. *)
 let persist t key verdict =

@@ -62,14 +62,16 @@ val program_key : Ir.program -> string
 (** 16-hex-digit FNV-1a fingerprint of the program's structure tree: the
     first component of every key. *)
 
-val context : ?eval_steps:int -> ?inject:Faults.spec -> Kernel.t -> string
+val context : Wire.context -> Kernel.t -> string
 (** The middle component of every key of one campaign, computed once per
-    campaign:
+    campaign from its evaluation context ({!Campaign.context}) and the
+    kernel that context resolved to:
     [steps=<budget>;backend=compiled;input=<name>;reference=<digest>],
     then [;inject=<spec>] inline under [--inject]. It names the kernel's
     input (its name, which carries the class, e.g. [ep.A], and a digest
-    of its reference output), the step budget (default: the target's)
-    and, inline, the fault-injection spec. A verdict earned under one
+    of its reference output), the context's step budget (default: the
+    target's) and its fault-injection spec; the retry budget is not
+    part of it. A verdict earned under one
     context is never served under another: a campaign at class A misses
     every class-W verdict, and one under another step budget misses
     every verdict of the budgeted run. [backend=compiled] is a constant:

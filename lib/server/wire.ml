@@ -13,6 +13,14 @@ type job_spec = {
          validation happens at Scheduler.submit *)
 }
 
+type context = {
+  bench : string;
+  cls : string;
+  eval_steps : int option;
+  retries : int;
+  inject : Faults.spec option;
+}
+
 type job_state =
   | Queued
   | Running
@@ -46,14 +54,7 @@ type server_stats = {
   uptime : float;
 }
 
-type batch = {
-  lease : string;
-  bench : string;
-  cls : string;
-  eval_steps : int option;
-  retries : int;
-  items : (string * string) list;
-}
+type batch = { lease : string; context : context; items : (string * string) list }
 
 type frame =
   | Submit of job_spec
@@ -237,10 +238,10 @@ let put_pair b (k, v) =
 
 let put_batch b (bt : batch) =
   put_str b bt.lease;
-  put_str b bt.bench;
-  put_str b bt.cls;
-  put_opt_int b bt.eval_steps;
-  put_i64 b bt.retries;
+  put_str b bt.context.bench;
+  put_str b bt.context.cls;
+  put_opt_int b bt.context.eval_steps;
+  put_i64 b bt.context.retries;
   put_list b put_pair bt.items
 
 let encode frame =
@@ -447,7 +448,7 @@ let get_batch c =
   let eval_steps = get_opt c get_i64 in
   let retries = get_i64 c in
   let items = get_list c get_pair in
-  { lease; bench; cls; eval_steps; retries; items }
+  { lease; context = { bench; cls; eval_steps; retries; inject = None }; items }
 
 let parse_body c tag =
   match tag with

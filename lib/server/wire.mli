@@ -35,6 +35,17 @@ type job_spec = {
           submission. *)
 }
 
+type context = {
+  bench : string;  (** benchmark to load, e.g. ["cg"] *)
+  cls : string;  (** problem class, e.g. ["W"] *)
+  eval_steps : int option;  (** per-evaluation VM step budget override *)
+  retries : int;  (** harness retry budget per evaluation *)
+  inject : Faults.spec option;  (** inline [--inject] only: never on the wire *)
+}
+(** What a verdict depends on besides the configuration: {!Campaign.target}
+    builds the evaluator from it, {!Store.context} the key, and a {!batch}
+    carries it to a worker, so a new knob here reaches all three. *)
+
 type job_state =
   | Queued
   | Running
@@ -72,17 +83,13 @@ type server_stats = {
 
 type batch = {
   lease : string;  (** lease id; every result push must echo it *)
-  bench : string;  (** benchmark to load on the worker, e.g. ["cg"] *)
-  cls : string;  (** problem class, e.g. ["W"] *)
-  eval_steps : int option;  (** per-evaluation VM step budget override *)
-  retries : int;  (** harness retry budget the worker must apply *)
+  context : context;  (** encoded as [bench], [cls], [eval_steps], [retries] *)
   items : (string * string) list;
-      (** (config digest, config exchange text) per candidate; the digest
+      (** (store key, config exchange text) per candidate; the key
           doubles as the item key in {!frame.Result_push} *)
 }
-(** One leased unit of evaluation work. A batch mixes only candidates of
-    one benchmark under one set of evaluation options, so a worker builds
-    one target and harness per batch. *)
+(** One leased unit of evaluation work: candidates of one context, so a
+    worker builds one target and harness per context. *)
 
 type frame =
   (* client -> server *)
@@ -104,7 +111,7 @@ type frame =
     }
   | Lease_request of { worker : string; capacity : int }
   | Result_push of { worker : string; lease : string; results : (string * string) list }
-      (** streamed verdicts for leased items: (config digest,
+      (** streamed verdicts for leased items: (item key,
           {!Verdict.verdict_to_string} serialization). Safe to resend —
           the daemon acknowledges duplicates instead of double-counting. *)
   | Heartbeat of { worker : string; lease : string option; completed : int }
@@ -126,7 +133,7 @@ type frame =
       heartbeat_every : float;  (** seconds between expected heartbeats *)
       lease_ttl : float;  (** seconds before an unfinished lease is requeued *)
       already_done : string list;
-          (** delta sync on rejoin: config digests from the worker's
+          (** delta sync on rejoin: item keys from the worker's
               outstanding lease that resolved while it was away — the
               worker must drop them instead of re-evaluating *)
     }

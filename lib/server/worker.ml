@@ -55,7 +55,7 @@ let dial ?(retries = 10) ?(delay = 0.05) rng addr =
   in
   go 0 delay
 
-let run ?name ?(capacity = 4) ?faults ?chaos ?(log = ignore) ?(dial_retries = 10)
+let run ?name ?(capacity = 4) ?chaos ?(log = ignore) ?(dial_retries = 10)
     ?(stop = fun () -> false) ~resolve addr =
   (* a daemon that dies mid-frame must surface as EPIPE (-> Conn_lost ->
      rejoin), not as a process-killing SIGPIPE *)
@@ -65,7 +65,7 @@ let run ?name ?(capacity = 4) ?faults ?chaos ?(log = ignore) ?(dial_retries = 10
   in
   let rng = Rng.create (Hashtbl.hash ("worker", name)) in
   let cache = Compile.create_cache () in
-  let kernels = Hashtbl.create 4 in
+  let targets = Hashtbl.create 4 in
   let st =
     {
       wid = None;
@@ -95,27 +95,20 @@ let run ?name ?(capacity = 4) ?faults ?chaos ?(log = ignore) ?(dial_retries = 10
     }
   in
   (* one harnessed target per evaluation context, reused across leases *)
-  let target_for (b : Wire.batch) =
-    let key = (b.Wire.bench, b.Wire.cls, b.Wire.eval_steps, b.Wire.retries) in
-    match Hashtbl.find_opt kernels key with
+  let target_for (ctx : Wire.context) =
+    match Hashtbl.find_opt targets ctx with
     | Some r -> r
     | None ->
-        let r =
-          match resolve ~bench:b.Wire.bench ~cls:b.Wire.cls with
-          | Error why -> Error why
-          | Ok kernel ->
-              let target = Kernel.target ?eval_steps:b.Wire.eval_steps ?faults ~cache kernel in
-              Ok (snd (Harness.wrap_target ~retries:b.Wire.retries target))
-        in
-        Hashtbl.replace kernels key r;
+        let r = Result.map (Campaign.target ~cache ctx) (resolve ~bench:ctx.bench ~cls:ctx.cls) in
+        Hashtbl.replace targets ctx r;
         r
   in
-  let eval_item b key text =
-    match target_for b with
+  let eval_item (ctx : Wire.context) key text =
+    match target_for ctx with
     | Error why ->
-        log (Printf.sprintf "%s: cannot build %s.%s: %s" name b.Wire.bench b.Wire.cls why);
+        log (Printf.sprintf "%s: cannot build %s.%s: %s" name ctx.bench ctx.cls why);
         None
-    | Ok (target : Bfs.Target.t) -> (
+    | Ok (_, _, (target : Bfs.Target.t)) -> (
         match Config.parse target.program text with
         | Error why ->
             (* never fabricate a verdict for a config we cannot even
@@ -224,7 +217,7 @@ let run ?name ?(capacity = 4) ?faults ?chaos ?(log = ignore) ?(dial_retries = 10
             st.skipped <- st.skipped + 1
           end
           else begin
-            match eval_item b key text with
+            match eval_item b.Wire.context key text with
             | None ->
                 st.pending <- rest;
                 st.skipped <- st.skipped + 1

@@ -9,15 +9,16 @@
     rejoining with its reconnect token: the daemon replies with the keys
     that resolved while it was away (delta sync), which the worker skips.
 
-    A worker never fabricates verdicts: an unparseable config or an
-    unbuildable kernel is skipped, and the daemon requeues the item when
-    the lease expires.
+    A worker builds its evaluator from the lease alone: the batch's
+    {!Wire.context} is the one the daemon keyed the items' verdicts by,
+    and {!Campaign.target} turns it into the same harnessed target the
+    daemon would build. A worker never fabricates verdicts: an
+    unparseable config or an unbuildable kernel is skipped, and the
+    daemon requeues the item when the lease expires.
 
-    Failure injection: [?faults] ({!Vm.Faults}) makes the {e evaluations}
-    hostile — the worker's own harness contains those, exactly as the
-    in-process pool does; [?chaos] ({!Chaos}) makes the {e worker}
-    hostile at the transport layer (death mid-batch, heartbeat stalls,
-    garbage frames, duplicate deliveries), which only the daemon's fleet
+    Failure injection: [?chaos] ({!Chaos}) makes the {e worker} hostile
+    at the transport layer (death mid-batch, heartbeat stalls, garbage
+    frames, duplicate deliveries), which only the daemon's fleet
     machinery can contain. *)
 
 type stats = {
@@ -31,7 +32,6 @@ type stats = {
 val run :
   ?name:string ->
   ?capacity:int ->
-  ?faults:Faults.t ->
   ?chaos:Chaos.t ->
   ?log:(string -> unit) ->
   ?dial_retries:int ->

@@ -58,6 +58,7 @@ let parse text =
     (Ok default) fields
 
 exception Corrupted
+exception Injected of string
 
 type t = {
   spec : spec;
@@ -128,7 +129,7 @@ let arm t ~key vm =
                   match mode with
                   | Trap ->
                       record_fire t;
-                      raise (Vm.Trap (addr, "injected fault: forced trap"))
+                      raise (Injected (Printf.sprintf "forced trap at 0x%06x" addr))
                   | Crash ->
                       record_fire t;
                       failwith "injected fault: evaluator crash"

@@ -14,7 +14,7 @@
     only, so a retrying harness always recovers the true verdict. *)
 
 type mode =
-  | Trap  (** raise {!Vm.Trap} at the Nth executed instruction *)
+  | Trap  (** raise {!Injected} at the Nth executed instruction *)
   | Hang  (** spin the step counter to the budget, then {!Vm.Limit} *)
   | Bitflip
       (** flip one payload bit of a replaced encoding in the float heap
@@ -68,3 +68,7 @@ exception Corrupted
     reported as silently corrupted: the failure is the injector's, not the
     configuration's, so it classifies as a crash and a retrying harness
     runs the configuration again, like any other injected fault. *)
+
+exception Injected of string
+(** What a {!Trap} fault raises: the injector's trap, not the program's,
+    so it classifies as a crash and a retrying harness reruns it. *)

@@ -100,12 +100,12 @@ let with_fleet_stack ?(fleet_opts = fast_fleet) ?sched_opts f =
 (* Host one worker in a thread; a chaos Kill restarts it from scratch
    (fresh hello, same name) — the in-process analogue of SIGKILL + a
    supervisor respawn. *)
-let host_worker ?faults ?chaos ~name ~stop addr =
+let host_worker ?chaos ~name ~stop addr =
   Thread.create
     (fun () ->
       let rec go () =
         match
-          Worker.run ~name ~capacity:3 ?faults ?chaos ~dial_retries:3 ~stop
+          Worker.run ~name ~capacity:3 ?chaos ~dial_retries:3 ~stop
             ~resolve:worker_resolve addr
         with
         | (_ : Worker.stats) -> ()
@@ -241,7 +241,7 @@ let test_anneal_deterministic_over_fleet () =
 
 (* ------------------------------------------------- direct protocol tests *)
 
-let ctx = { Fleet.bench = "syn"; cls = "W"; eval_steps = None; retries = 0 }
+let ctx = Campaign.context default_spec
 
 (* [Ok (worker_id, negotiated_version, already_done)] *)
 let hello ?reconnect fleet name =
@@ -272,8 +272,8 @@ let rec lease_some fleet worker n =
   | Ok None -> lease_some fleet worker (n + 1)
   | Error why -> Alcotest.failf "lease refused: %s" why
 
-let spawn_eval fleet ~key ?(local = fun () -> Alcotest.fail "unexpected local fallback")
-    () =
+let spawn_eval fleet ?(ctx = ctx) ~key
+    ?(local = fun () -> Alcotest.fail "unexpected local fallback") () =
   let result = ref None in
   let th =
     Thread.create
@@ -295,8 +295,7 @@ let test_protocol_walkthrough () =
       let th, result = spawn_eval fleet ~key:"k1" () in
       let b = lease_some fleet wid 0 in
       checkb "batch carries the item" true (b.Wire.items = [ ("k1", "text-k1") ]);
-      checkb "batch context" true
-        (b.Wire.bench = "syn" && b.Wire.cls = "W" && b.Wire.retries = 0);
+      checkb "batch context" true (b.Wire.context = ctx);
       (* a push under a stale/bogus lease is ignored, never recorded *)
       checkb "bogus lease ignored" true (push fleet wid "bogus" [ ("k1", pass) ] = (0, 1));
       (* an unparseable verdict is ignored *)
@@ -320,6 +319,43 @@ let test_protocol_walkthrough () =
       match Fleet.handle fleet (Wire.Goodbye wid) with
       | Some (Wire.Goodbye_ack { requeued }) -> checki "nothing to requeue" 0 requeued
       | _ -> Alcotest.fail "unexpected goodbye reply")
+
+(* A lease holds the items of one evaluation context, the oldest queued
+   item's, and carries that context: two callers whose contexts differ
+   only in the step budget are never leased together, even when one's
+   item was queued between the other's. *)
+let test_lease_never_mixes_contexts () =
+  let fleet = Fleet.create ~options:{ fast_fleet with poll_timeout = 0.02 } () in
+  Fun.protect ~finally:(fun () -> Fleet.stop fleet) (fun () ->
+      let wid, _, _ = Result.get_ok (hello fleet "alpha") in
+      let budgeted = { ctx with Wire.eval_steps = Some 120000 } in
+      let spawned =
+        List.map
+          (fun (ctx, key) ->
+            let spawned = spawn_eval fleet ~ctx ~key () in
+            Thread.delay 0.05;
+            spawned)
+          [ (ctx, "a1"); (budgeted, "b1"); (ctx, "a2") ]
+      in
+      let rec lease8 n =
+        match Fleet.handle fleet (Wire.Lease_request { worker = wid; capacity = 8 }) with
+        | Some (Wire.Lease_reply (Some b)) -> b
+        | _ when n < 200 -> lease8 (n + 1)
+        | _ -> Alcotest.fail "no batch leased"
+      in
+      let resolve (b : Wire.batch) =
+        fst (push fleet wid b.Wire.lease (List.map (fun (key, _) -> (key, pass)) b.Wire.items))
+      in
+      let first = lease8 0 in
+      checkb "first lease carries the oldest item's context" true (first.Wire.context = ctx);
+      checkb "first lease holds only that context's items" true
+        (List.map fst first.Wire.items = [ "a1"; "a2" ]);
+      checki "first lease resolved" 2 (resolve first);
+      let second = lease8 0 in
+      checkb "next lease carries the other context" true (second.Wire.context = budgeted);
+      checkb "next lease holds its item" true (List.map fst second.Wire.items = [ "b1" ]);
+      checki "next lease resolved" 1 (resolve second);
+      List.iter (fun (th, _) -> Thread.join th) spawned)
 
 let test_rejoin_delta_sync () =
   let fleet = Fleet.create ~options:{ fast_fleet with poll_timeout = 0.02 } () in
@@ -456,6 +492,7 @@ let suite =
     ("fleet: empty fleet degrades to the local pool", `Quick, test_empty_fleet_degrades_to_local);
     ("fleet: anneal seed deterministic over the fleet", `Quick, test_anneal_deterministic_over_fleet);
     ("fleet: lease/result/heartbeat protocol walkthrough", `Quick, test_protocol_walkthrough);
+    ("fleet: a lease never mixes contexts", `Quick, test_lease_never_mixes_contexts);
     ("fleet: rejoin with result-store delta sync", `Quick, test_rejoin_delta_sync);
     ("fleet: repeated deaths quarantine the worker", `Quick, test_quarantine_after_repeated_deaths);
     ("fleet: unknown format token skipped, connection survives", `Quick, test_worker_skips_unknown_format);

@@ -76,7 +76,7 @@ let test_retry_recovers_transient () =
   let calls = ref 0 in
   let raw _ =
     incr calls;
-    if !calls = 1 then raise (Vm.Trap (1, "flaky")) else true
+    if !calls = 1 then failwith "flaky" else true
   in
   let h = Harness.make ~retries:2 raw in
   Alcotest.check verdict_t "recovered" Verdict.Pass (Harness.eval h Config.empty);
@@ -86,8 +86,13 @@ let test_retry_recovers_transient () =
   (* without retries the flaky verdict is final *)
   calls := 0;
   let h0 = Harness.make ~retries:0 raw in
-  Alcotest.check verdict_t "no retry" (Verdict.Trapped (1, "flaky"))
-    (Harness.eval h0 Config.empty)
+  Alcotest.check verdict_t "no retry" (Verdict.Crashed "Failure(\"flaky\")")
+    (Harness.eval h0 Config.empty);
+  (* a VM trap is deterministic: final, whatever the budget *)
+  let ht = Harness.make ~retries:2 (fun _ -> raise (Vm.Trap (1, "x"))) in
+  Alcotest.check verdict_t "trap is final" (Verdict.Trapped (1, "x"))
+    (Harness.eval ht Config.empty);
+  checki "trap attempted once" 1 (Harness.counters ht).Harness.attempts
 
 let test_backoff_deterministic () =
   let h = Harness.make ~retries:3 (fun _ -> raise (Vm.Limit 1)) in
@@ -364,8 +369,8 @@ let test_journal_resume_skips_everything () =
 let test_journal_step_budget () =
   let k = synthetic_kernel ~n_ops:8 ~poison:[ 2; 5 ] in
   let search ?eval_steps ~resume path =
-    journaled_search ~context:(Store.context ?eval_steps k) ~resume path
-      (Kernel.target ?eval_steps k)
+    let ctx = { Wire.bench = "syn"; cls = "W"; eval_steps; retries = 0; inject = None } in
+    journaled_search ~context:(Store.context ctx k) ~resume path (Kernel.target ?eval_steps k)
   in
   with_temp_journal (fun path ->
       with_temp_journal (fun fresh_path ->

@@ -180,24 +180,28 @@ let test_store_context_bytes () =
   let inject =
     Result.get_ok (Faults.parse "seed=7,rate=0.2,modes=trap+hang+bitflip,transient")
   in
+  let ctx ?eval_steps ?inject bench =
+    Campaign.context ?inject
+      { Wire.bench; cls = "W"; shadow = false; priority = 0; eval_steps; formats = ""; strategy = "" }
+  in
   List.iter
     (fun (label, want, got) -> checks label want got)
     [
       ( "ep.W",
         "steps=default;backend=compiled;input=ep.W;reference=1d03afd443e8f806",
-        Store.context ep );
+        Store.context (ctx "ep") ep );
       ( "ep.W budgeted",
         "steps=2000000;backend=compiled;input=ep.W;reference=1d03afd443e8f806",
-        Store.context ~eval_steps:2000000 ep );
+        Store.context (ctx ~eval_steps:2000000 "ep") ep );
       ( "cg.W",
         "steps=default;backend=compiled;input=cg.W;reference=e4900f7317df8d57",
-        Store.context cg );
+        Store.context (ctx "cg") cg );
       ( "cg.W budgeted",
         "steps=2000000;backend=compiled;input=cg.W;reference=e4900f7317df8d57",
-        Store.context ~eval_steps:2000000 cg );
+        Store.context (ctx ~eval_steps:2000000 "cg") cg );
       ( "cg.W budgeted and injected",
         "steps=2000000;backend=compiled;input=cg.W;reference=e4900f7317df8d57;inject=seed=7,rate=0.2,modes=trap+hang+bitflip,transient",
-        Store.context ~eval_steps:2000000 ~inject cg );
+        Store.context (ctx ~eval_steps:2000000 ~inject "cg") cg );
     ]
 
 (* -------------------------------------------------------------------- wal *)

@@ -48,10 +48,9 @@ let synthetic_kernel ?(name = "syn.W") ?(delay = 0.0) ~n_ops ~poison () =
 let default_spec =
   { Wire.bench = "syn"; cls = "W"; shadow = false; priority = 0; eval_steps = None; formats = ""; strategy = "" }
 
-let with_stack ?(workers = 2) ?options ~resolve f =
+let with_stack ?(workers = 2) ?options ?(store = Store.create ()) ~resolve f =
   let pool = Pool.create ~options:{ Pool.default_options with workers } () in
   let cache = Compile.create_cache () in
-  let store = Store.create () in
   let sched = Scheduler.create ?options ~resolve ~pool ~cache ~store () in
   Fun.protect
     ~finally:(fun () ->
@@ -265,6 +264,39 @@ let test_served_shadow_equals_inline () =
         "served final = inline final"
         (Config.print k.Kernel.program inline.Bfs.final)
         text)
+
+(* One key, end to end: an inline [craft search --journal] campaign and
+   the daemon key a spec's verdicts alike, so a daemon whose store is that
+   journal serves every evaluation of the spec and ends on the inline
+   final. *)
+let test_inline_journal_serves_daemon () =
+  let k = Nas_cg.make Kernel.W in
+  let spec = { default_spec with Wire.bench = "cg" } in
+  let path = Filename.temp_file "craft_journal" ".log" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let ctx = Campaign.context spec in
+      let _, _, target = Campaign.target ctx k in
+      let journal = Result.get_ok (Store.open_journal ~resume:false ~path) in
+      let inline =
+        Campaign.run ~workers:1 k
+          (Result.get_ok (Campaign.of_spec spec))
+          (Store.wrap_target journal ~context:(Store.context ctx k) target)
+      in
+      Store.close journal;
+      let store = Store.create ~path () in
+      with_stack ~store ~resolve:(fun _ -> Ok k) (fun sched _ ->
+          let id = Result.get_ok (Scheduler.submit sched spec) in
+          let status, text, _ = wait_done sched id in
+          checki "served tested = inline tested" inline.Bfs.tested status.Wire.tested;
+          checki "every evaluation served from the journal" status.Wire.tested
+            status.Wire.store_hits;
+          Alcotest.(check string)
+            "served final = inline final"
+            (Config.print k.Kernel.program inline.Bfs.final)
+            text);
+      Store.close store)
 
 let test_priorities_and_cancel () =
   let k = synthetic_kernel ~delay:0.01 ~n_ops:6 ~poison:[ 0 ] () in
@@ -557,6 +589,9 @@ let suite =
     ( "scheduler: served shadow-guided cg.W equals inline",
       `Quick,
       test_served_shadow_equals_inline );
+    ( "scheduler: an inline --journal log serves the same spec",
+      `Quick,
+      test_inline_journal_serves_daemon );
     ("scheduler: priorities and cancellation", `Quick, test_priorities_and_cancel);
     ("scheduler: poison job is quarantined", `Quick, test_poison_job_quarantine);
     ("scheduler: resolve rejection and unknown jobs", `Quick, test_resolve_rejection);

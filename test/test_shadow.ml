@@ -88,9 +88,7 @@ let test_faults_and_tracer_stack () =
   let _id = Shadow_tracer.attach tracer vm in
   (match Vm.run vm with
   | () -> Alcotest.fail "expected the injected trap to fire"
-  | exception Vm.Trap (_, reason) ->
-      Alcotest.(check bool) "trap is the injected one" true
-        (String.length reason > 0 && String.sub reason 0 8 = "injected"));
+  | exception Faults.Injected _ -> ());
   Alcotest.(check int) "fault fired with tracer installed" 1 (Faults.injected inj)
 
 (* --- satellite 2a: double-configured shadows are exact --------------- *)

@@ -59,10 +59,11 @@ let server_stats_gen =
       })
     (tup3 (tup5 nat nat nat nat nat) (tup4 nat nat nat nat) (tup3 nat nat float_gen))
 
+(* [inject] is inline-only: the codec never carries it *)
 let batch_gen =
   map
     (fun ((lease, bench, cls), (eval_steps, retries, items)) ->
-      { Wire.lease; bench; cls; eval_steps; retries; items })
+      { Wire.lease; context = { bench; cls; eval_steps; retries; inject = None }; items })
     (pair
        (tup3 raw_string raw_string raw_string)
        (tup3 (option int) nat (list_size (int_bound 5) (pair raw_string raw_string))))
@@ -292,8 +293,12 @@ let hostile_formats_payload () =
   let hostile_text = "e9m9 MODULE: cg" in
   let b =
     Wire.Lease_reply
-      (Some { Wire.lease = "L1"; bench = "cg"; cls = "W"; eval_steps = None;
-              retries = 0; items = [ ("k1", hostile_text) ] })
+      (Some
+         {
+           Wire.lease = "L1";
+           context = { bench = "cg"; cls = "W"; eval_steps = None; retries = 0; inject = None };
+           items = [ ("k1", hostile_text) ];
+         })
   in
   let buf = Wire.encode b in
   match Wire.decode buf ~pos:0 ~len:(Bytes.length buf) with
