@@ -148,8 +148,9 @@ let journal_arg =
            flushed, fsynced at exit), making the campaign crash-safe. Each verdict is \
            stored as the harness classified it (pass, fail, trap, timeout, crash; \
            after its retries), keyed by the program, the kernel's input (benchmark and \
-           class), the step budget and the $(b,--inject) spec. Without $(b,--resume) \
-           the file is removed first.")
+           class), the step budget, the $(b,--inject) spec with the $(b,--retries) \
+           budget, and the $(b,--deadline). Without $(b,--resume) the file is removed \
+           first.")
 
 let resume_arg =
   Arg.(
@@ -159,18 +160,19 @@ let resume_arg =
           "Replay the $(b,--journal) log before searching: the campaign is walked again \
            from the start and every verdict the log holds under the same key is served \
            from it, so an interrupted campaign continues instead of restarting. Verdicts \
-           earned under another class, step budget or $(b,--inject) spec are not \
-           served. A file that is not a result-store log is refused. Requires \
-           $(b,--journal).")
+           earned under another class, step budget, $(b,--inject) spec, retry budget \
+           under $(b,--inject), or $(b,--deadline) are not served. A file that is not a \
+           result-store log is refused. Requires $(b,--journal).")
 
 let retries_arg =
   Arg.(
     value & opt int 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Retry budget per evaluation for flaky verdicts (step-timeout, crash); each \
-           retry runs at once. A pass, a verification failure or a trap is final: the VM \
-           is deterministic, so another run would repeat it.")
+          "Retry budget per evaluation for crash verdicts; each retry runs at once, and \
+           nothing else reruns an evaluation. A pass, a verification failure, a trap or a \
+           timeout is final: the VM is deterministic, and an evaluation past its \
+           $(b,--deadline) stays cancelled.")
 
 let eval_steps_arg =
   Arg.(
@@ -189,10 +191,10 @@ let inject_arg =
         ~doc:
           "Arm the deterministic fault injector around every evaluation, e.g. \
            $(b,seed=7,rate=0.2,modes=trap+hang+bitflip,transient) — a demo that the \
-           harness contains every failure mode. An injected trap, and a silent fault \
-           (bitflip, corrupt) that makes verification fail, are reported as crashes, so \
-           $(b,--retries) reruns them; a genuine verification failure or trap is never \
-           rerun.")
+           harness contains every failure mode. An injected trap or hang, and a silent \
+           fault (bitflip, corrupt) that makes verification fail, are reported as \
+           crashes, so $(b,--retries) reruns them; a genuine verification failure, trap \
+           or timeout is never rerun.")
 
 let deadline_arg =
   Arg.(
@@ -202,15 +204,8 @@ let deadline_arg =
         ~doc:
           "Per-evaluation wall-clock deadline, enforced by the worker-pool supervisor on \
            top of the VM step budget. A late evaluation is first cancelled cooperatively \
-           (classified as a timeout); a worker that stays hung is abandoned and replaced.")
-
-let quarantine_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "quarantine-after" ] ~docv:"N"
-        ~doc:
-          "Quarantine a configuration with a crash verdict after it has killed $(docv) \
-           evaluation workers, instead of retrying it forever (default 2).")
+           (classified as a timeout, never retried); a worker that stays hung is \
+           abandoned and replaced. Part of the $(b,--journal) key.")
 
 let shadow_flag =
   Arg.(
@@ -236,9 +231,20 @@ let formats_arg =
            passing structure is retried at every cheaper format, cheapest first. Empty \
            (the default) searches single-vs-double exactly as before.")
 
+(* A campaign that finished on a final configuration that fails the
+   kernel's own verification is a failure: [craft search] exits with this
+   code, and so do the daemon clients for a job the scheduler summarised
+   with [final fail]. *)
+let final_fails = 3
+
+let exits =
+  Cmd.Exit.info final_fails
+    ~doc:"the campaign finished, but its final configuration fails the kernel's verification."
+  :: Cmd.Exit.defaults
+
 let search_cmd =
   let run name cls workers out strategy journal_path resume retries eval_steps inject
-      deadline quarantine_after shadow formats =
+      deadline shadow formats =
     with_kernel name cls (fun k ->
         let spec =
           { Wire.bench = name; cls; shadow; priority = 0; eval_steps; formats; strategy }
@@ -253,7 +259,7 @@ let search_cmd =
             (fun text -> or_die (Result.map_error (fun e -> "--inject: " ^ e) (Faults.parse text)))
             inject
         in
-        let ctx = Campaign.context ~retries ?inject spec in
+        let ctx = Campaign.context ~retries ?inject ?deadline spec in
         let faults, harness, target = Campaign.target ctx k in
         let journal =
           Option.map (fun path -> (path, or_die (Store.open_journal ~resume ~path))) journal_path
@@ -266,15 +272,14 @@ let search_cmd =
         (* The supervised pool is staffed whenever parallelism or a deadline
            asks for it; the CLI owns it (the search only borrows it). *)
         let pool =
-          if workers > 1 || deadline <> None then
+          if workers > 1 || ctx.Wire.deadline <> None then
             Some
               (Pool.create
                  ~options:
                    {
                      Pool.default_options with
                      workers = max 1 workers;
-                     deadline;
-                     quarantine_after;
+                     deadline = ctx.Wire.deadline;
                    }
                  ~log:(fun s -> prerr_endline ("craft: pool: " ^ s))
                  ())
@@ -322,21 +327,22 @@ let search_cmd =
         (match faults with
         | Some inj -> Format.printf "injected faults fired: %d@." (Faults.injected inj)
         | None -> ());
-        match journal with
+        (match journal with
         | Some (path, store) ->
             let s = Store.stats store in
             Format.printf "journal %s: %d replayed, %d hit(s), %d fresh, %d record(s)@." path
               s.Store.replayed s.Store.hits s.Store.misses s.Store.entries;
             Store.close store
-        | None -> ())
+        | None -> ());
+        if not r.Bfs.final_pass then exit final_fails)
   in
   Cmd.v
-    (Cmd.info "search"
+    (Cmd.info "search" ~exits
        ~doc:"Run the automatic mixed-precision search and print the recommendation")
     Term.(
       const run $ bench_arg $ class_arg $ workers_arg $ out_arg $ strategy_arg $ journal_arg
-      $ resume_arg $ retries_arg $ eval_steps_arg $ inject_arg $ deadline_arg
-      $ quarantine_arg $ shadow_flag $ formats_arg)
+      $ resume_arg $ retries_arg $ eval_steps_arg $ inject_arg $ deadline_arg $ shadow_flag
+      $ formats_arg)
 
 let shadow_cmd =
   let threshold_arg =
@@ -571,8 +577,9 @@ let state_to_string = function
   | Wire.Failed why -> "failed: " ^ why
   | Wire.Quarantined why -> "quarantined: " ^ why
 
-let exit_for_state = function
-  | Wire.Done -> 0
+let exit_for_state state summary =
+  match state with
+  | Wire.Done -> if String.ends_with ~suffix:"final fail" summary then final_fails else 0
   | Wire.Queued | Wire.Running | Wire.Cancelled | Wire.Failed _ | Wire.Quarantined _ -> 1
 
 let serve_cmd =
@@ -611,6 +618,15 @@ let serve_cmd =
           ~doc:
             "fsync the durable result store every N fresh verdicts (1 = per record, 0 = \
              flush only; default 32). Every append is flushed regardless.")
+  in
+  let quarantine_arg =
+    Arg.(
+      value & opt int 2
+      & info [ "quarantine-after" ] ~docv:"N"
+          ~doc:
+            "Quarantine a job after its campaign has died $(docv) times (an exception \
+             escaping the search itself, not an evaluation), instead of requeueing it \
+             forever (default 2).")
   in
   let run socket tcp jobs wave workers retries quarantine_after state_dir store_fsync
       fleet_heartbeat =
@@ -800,11 +816,12 @@ let submit_cmd =
               close_out oc;
               Printf.printf "final configuration written to %s\n" path
           | None -> print_string config_text);
-          exit (exit_for_state status.Wire.state)
+          exit (exit_for_state status.Wire.state summary)
         end)
   in
   Cmd.v
-    (Cmd.info "submit" ~doc:"Submit a search campaign to the daemon (prints the job id)")
+    (Cmd.info "submit" ~exits
+       ~doc:"Submit a search campaign to the daemon (prints the job id)")
     Term.(
       const run $ socket_arg $ tcp_arg $ bench_arg $ class_arg $ shadow_flag
       $ priority_arg $ eval_steps_arg $ wait_flag $ out_arg $ formats_arg
@@ -857,11 +874,13 @@ let watch_cmd =
         let (_ : int) = or_die (Client.watch c ~job print_endline) in
         let status, _, summary = or_die (Client.result c job) in
         Printf.printf "%s: %s — %s\n" job (state_to_string status.Wire.state) summary;
-        exit (exit_for_state status.Wire.state))
+        exit (exit_for_state status.Wire.state summary))
   in
   Cmd.v
-    (Cmd.info "watch"
-       ~doc:"Stream a job's event log until it finishes (exit 0 iff it completed)")
+    (Cmd.info "watch" ~exits
+       ~doc:
+         "Stream a job's event log until it finishes (exit 0 iff it completed with a \
+          passing final)")
     Term.(const run $ socket_arg $ tcp_arg $ job_arg)
 
 let results_cmd =
@@ -876,10 +895,11 @@ let results_cmd =
             close_out oc;
             Printf.printf "final configuration written to %s\n" path
         | None -> print_string config_text);
-        exit (exit_for_state status.Wire.state))
+        exit (exit_for_state status.Wire.state summary))
   in
   Cmd.v
-    (Cmd.info "results" ~doc:"Fetch a finished job's final configuration and summary")
+    (Cmd.info "results" ~exits
+       ~doc:"Fetch a finished job's final configuration and summary")
     Term.(const run $ socket_arg $ tcp_arg $ job_arg $ out_arg)
 
 let cancel_cmd =

@@ -96,7 +96,6 @@ type result = {
   passing_flags : (Static.node * Config.flag) list;
   bits_saved : int;
   log : string list;
-  supervisor : Pool.stats option;
   pruned : int;
   interrupted : bool;
 }
@@ -461,7 +460,8 @@ let drive (module M : MACHINE) ?(options = default_options) (target : Target.t) 
      [target.eval] (a crashing verify routine, OOM, a stack overflow, ...)
      is this one configuration's classified failure, not the search's.
      Only the deliberate [Aborted] control exception passes through — it
-     IS the campaign dying (kill simulation / operator interrupt). *)
+     IS the campaign dying (kill simulation / operator interrupt); under a
+     pool it ends one task instead, which the pool classifies. *)
   let verdict cfg =
     match target.eval cfg with
     | v -> v
@@ -646,7 +646,6 @@ let drive (module M : MACHINE) ?(options = default_options) (target : Target.t) 
       passing_flags = passing;
       bits_saved = Config.bits_saved program final;
       log = List.rev !log;
-      supervisor = Option.map Pool.stats pool;
       pruned = !pruned;
       interrupted = stopped <> None;
     }

@@ -38,9 +38,9 @@ exception Aborted
 (** The one exception evaluation containment re-raises: raising it from an
     evaluator simulates the campaign being killed (tests, operator
     interrupt). Everything else is classified per-item. Only a sequential
-    campaign dies of it: under a pool the escaping exception is a worker
-    death, which {!Pool} requeues and then quarantines as [Crashed], and
-    the campaign completes. *)
+    campaign dies of it: under a pool it escapes the task, {!Pool}
+    classifies it as that item's [Crashed] verdict after one run, and the
+    campaign completes. *)
 
 module Target : sig
   type t = {
@@ -197,8 +197,6 @@ type result = {
           poster's headline metric, strictly larger when narrow formats
           survive verification *)
   log : string list;  (** chronological search narration *)
-  supervisor : Pool.stats option;
-      (** pool supervision tallies, when a pool evaluated the waves *)
   pruned : int;
       (** candidates skipped by shadow pruning (each one logged and
           reported through [on_pruned], never dropped silently) *)

@@ -9,12 +9,14 @@
 
     - containment: no exception whatsoever escapes {!eval};
     - bounded retries for flaky verdicts — exactly those for which
-      {!Verdict.is_flaky} holds (step-timeout, crash) — so transient
-      faults don't turn into permanent search decisions. A pass, a
-      verification failure or a VM trap is final: the VM is
-      deterministic. An injected trap ({!Faults.Injected}) or silent
-      corruption that fails verification ({!Faults.Corrupted}) is a
-      crash, retried like any other;
+      {!Verdict.is_flaky} holds (crash) — so transient faults don't turn
+      into permanent search decisions. A pass, a verification failure, a
+      VM trap or a timeout is final: the VM is deterministic, so a rerun
+      repeats a step-budget overrun, and a wall-clock deadline miss
+      leaves its pool task cancelled. An injected trap or hang
+      ({!Faults.Injected}) or silent corruption that fails verification
+      ({!Faults.Corrupted}) is a crash, retried like any other. This is
+      the one rerun policy: the {!Pool} never reruns a task;
     - per-verdict counters for the end-of-campaign breakdown report.
 
     Flakiness only enters through {!Faults} injection or a genuinely

@@ -2,51 +2,36 @@ type options = {
   workers : int;
   deadline : float option;
   grace : float;
-  quarantine_after : int;
   max_worker_loss : int;
   queue_cap : int;
-  poll_interval : float;
 }
 
 let default_options =
-  {
-    workers = 2;
-    deadline = None;
-    grace = 0.5;
-    quarantine_after = 2;
-    max_worker_loss = 8;
-    queue_cap = 64;
-    poll_interval = 0.002;
-  }
+  { workers = 2; deadline = None; grace = 0.5; max_worker_loss = 8; queue_cap = 64 }
+
+(* the monitor's polling period, in seconds *)
+let poll_interval = 0.002
 
 type stats = {
   tasks : int;
   completed : int;
   deadline_misses : int;
   abandoned : int;
-  worker_deaths : int;
   restarts : int;
-  quarantined : int;
   inline_runs : int;
   degraded : bool;
 }
 
-type task = {
-  id : int;
-  thunk : unit -> Verdict.verdict;
-  mutable deaths : int;
-}
+type task = { id : int; thunk : unit -> Verdict.verdict }
 
 type slot = {
   mutable dom : unit Domain.t option;
-  (* [busy]/[started] guarded by the pool lock; [cancel]/[beats] are the
-     lock-free channel between the monitor and the worker's VM watchdog *)
+  (* [busy]/[started] guarded by the pool lock; [cancel] is the lock-free
+     channel between the monitor and the worker's VM watchdog *)
   mutable busy : task option;
   mutable started : float;
   cancel : bool Atomic.t;
-  beats : int Atomic.t;
   mutable zombie : bool;  (* abandoned mid-hang; never joined *)
-  mutable retired : bool;  (* loop exited; safe to drop *)
 }
 
 type t = {
@@ -67,9 +52,7 @@ type t = {
   mutable n_completed : int;
   mutable n_deadline_misses : int;
   mutable n_abandoned : int;
-  mutable n_worker_deaths : int;
   mutable n_restarts : int;
-  mutable n_quarantined : int;
   mutable n_inline : int;
   mutable is_degraded : bool;
 }
@@ -80,8 +63,6 @@ let note t fmt =
       t.events <- s :: t.events;
       t.echo s)
     fmt
-
-let losses t = t.n_worker_deaths + t.n_abandoned
 
 (* ---------------------------------------------------------------- workers *)
 
@@ -103,47 +84,18 @@ let degrade t why =
   end
 
 let run_task t slot task =
-  (* The watchdog heartbeats and polls the cancel flag every 256 executed
-     instructions — cheap enough to leave on every supervised VM, reactive
-     enough that a cooperative cancellation lands within microseconds. *)
+  (* The watchdog polls the cancel flag every 256 executed instructions —
+     cheap enough to leave on every supervised VM, reactive enough that a
+     cooperative cancellation lands within microseconds. *)
   let tick = ref 0 in
   let watchdog _vm _addr =
     incr tick;
-    if !tick land 255 = 0 then begin
-      Atomic.incr slot.beats;
-      if Atomic.get slot.cancel then
-        raise (Vm.Deadline (Option.value ~default:0.0 t.opts.deadline))
-    end
+    if !tick land 255 = 0 && Atomic.get slot.cancel then
+      raise (Vm.Deadline (Option.value ~default:0.0 t.opts.deadline))
   in
   Vm.with_watchdog watchdog task.thunk
 
-let rec spawn_worker t ~restart =
-  let slot =
-    {
-      dom = None;
-      busy = None;
-      started = 0.0;
-      cancel = Atomic.make false;
-      beats = Atomic.make 0;
-      zombie = false;
-      retired = false;
-    }
-  in
-  match Domain.spawn (fun () -> worker_loop t slot) with
-  | dom ->
-      slot.dom <- Some dom;
-      t.slots <- slot :: t.slots;
-      if restart then t.n_restarts <- t.n_restarts + 1
-  | exception e ->
-      degrade t (Printf.sprintf "cannot spawn a worker domain: %s" (Printexc.to_string e))
-
-and replace_worker t =
-  if losses t > t.opts.max_worker_loss then
-    degrade t
-      (Printf.sprintf "lost %d workers (budget %d)" (losses t) t.opts.max_worker_loss)
-  else spawn_worker t ~restart:true
-
-and worker_loop t slot =
+let rec worker_loop t slot =
   Mutex.lock t.lock;
   let rec next () =
     if (not t.alive) || slot.zombie then None
@@ -155,9 +107,7 @@ and worker_loop t slot =
           next ()
   in
   match next () with
-  | None ->
-      slot.retired <- true;
-      Mutex.unlock t.lock
+  | None -> Mutex.unlock t.lock
   | Some task ->
       slot.busy <- Some task;
       slot.started <- Unix.gettimeofday ();
@@ -165,58 +115,38 @@ and worker_loop t slot =
       (* a task freed a queue slot: submitters blocked on [queue_cap] *)
       Condition.broadcast t.cond_done;
       Mutex.unlock t.lock;
-      let outcome = try Ok (run_task t slot task) with e -> Error e in
+      (* an exception escaping the thunk is this task's verdict, classified
+         as every other layer classifies it; the task is never rerun *)
+      let v = try run_task t slot task with e -> Verdict.classify_exn e in
       Mutex.lock t.lock;
       slot.busy <- None;
-      if slot.zombie then begin
+      if slot.zombie then
         (* the monitor gave up on us while the task was running; the task was
            already resolved as a deadline miss — drop our late result *)
-        slot.retired <- true;
         Mutex.unlock t.lock
-      end
       else begin
-        (match outcome with
-        | Ok v -> deliver t task v
-        | Error (Vm.Deadline _) ->
-            (* the thunk was not classify-wrapped; the cancellation is still
-               just this task's timeout, not a worker death *)
-            deliver t task Verdict.Step_timeout
-        | Error e ->
-            (* anything escaping the evaluation stack is worker-fatal: the
-               in-VM analogue of a worker process segfaulting. Restart the
-               worker; requeue the task until it exhausts its quarantine
-               budget. *)
-            t.n_worker_deaths <- t.n_worker_deaths + 1;
-            task.deaths <- task.deaths + 1;
-            if task.deaths >= t.opts.quarantine_after then begin
-              t.n_quarantined <- t.n_quarantined + 1;
-              let msg =
-                Printf.sprintf "quarantined after %d worker death(s): %s" task.deaths
-                  (Printexc.to_string e)
-              in
-              note t "pool: task %d %s" task.id msg;
-              deliver t task (Verdict.Crashed msg)
-            end
-            else begin
-              note t "pool: worker died on task %d (%s); restarting" task.id
-                (Printexc.to_string e);
-              Queue.push task t.work;
-              Condition.signal t.cond_work
-            end;
-            slot.retired <- true;
-            replace_worker t);
-        match outcome with
-        | Error (Vm.Deadline _) | Ok _ ->
-            Mutex.unlock t.lock;
-            worker_loop t slot
-        | Error _ -> Mutex.unlock t.lock
+        deliver t task v;
+        Mutex.unlock t.lock;
+        worker_loop t slot
       end
+
+let spawn_worker t ~restart =
+  let slot =
+    { dom = None; busy = None; started = 0.0; cancel = Atomic.make false; zombie = false }
+  in
+  match Domain.spawn (fun () -> worker_loop t slot) with
+  | dom ->
+      slot.dom <- Some dom;
+      t.slots <- slot :: t.slots;
+      if restart then t.n_restarts <- t.n_restarts + 1
+  | exception e ->
+      degrade t (Printf.sprintf "cannot spawn a worker domain: %s" (Printexc.to_string e))
 
 (* ---------------------------------------------------------------- monitor *)
 
 let monitor_loop t =
   let rec loop () =
-    Unix.sleepf t.opts.poll_interval;
+    Unix.sleepf poll_interval;
     Mutex.lock t.lock;
     if not t.alive then Mutex.unlock t.lock
     else begin
@@ -239,14 +169,18 @@ let monitor_loop t =
                     (* second tier: the worker ignored the cancel (hung outside
                        the VM, where the watchdog cannot run). OCaml domains
                        cannot be killed, so abandon it and staff a
-                       replacement. *)
+                       replacement, within the loss budget. *)
                     slot.zombie <- true;
                     t.n_abandoned <- t.n_abandoned + 1;
                     note t
                       "pool: task %d unresponsive %.3fs after cancellation; abandoning worker"
                       task.id t.opts.grace;
                     deliver t task Verdict.Step_timeout;
-                    replace_worker t
+                    if t.n_abandoned > t.opts.max_worker_loss then
+                      degrade t
+                        (Printf.sprintf "abandoned %d workers (budget %d)" t.n_abandoned
+                           t.opts.max_worker_loss)
+                    else spawn_worker t ~restart:true
                   end)
               | _ -> ())
             t.slots);
@@ -266,9 +200,7 @@ let create ?(options = default_options) ?(log = ignore) () =
           options with
           workers = max 1 options.workers;
           grace = Float.max 0.01 options.grace;
-          quarantine_after = max 1 options.quarantine_after;
           queue_cap = max 1 options.queue_cap;
-          poll_interval = Float.max 0.0005 options.poll_interval;
         };
       echo = log;
       lock = Mutex.create ();
@@ -285,9 +217,7 @@ let create ?(options = default_options) ?(log = ignore) () =
       n_completed = 0;
       n_deadline_misses = 0;
       n_abandoned = 0;
-      n_worker_deaths = 0;
       n_restarts = 0;
-      n_quarantined = 0;
       n_inline = 0;
       is_degraded = false;
     }
@@ -345,7 +275,7 @@ let run t thunks =
             (fun thunk ->
               let id = t.next_id in
               t.next_id <- t.next_id + 1;
-              { id; thunk; deaths = 0 })
+              { id; thunk })
             thunks
         in
         t.n_tasks <- t.n_tasks + List.length tasks;
@@ -419,14 +349,10 @@ let stats t =
         completed = t.n_completed;
         deadline_misses = t.n_deadline_misses;
         abandoned = t.n_abandoned;
-        worker_deaths = t.n_worker_deaths;
         restarts = t.n_restarts;
-        quarantined = t.n_quarantined;
         inline_runs = t.n_inline;
         degraded = t.is_degraded;
       })
-
-let degraded t = Mutex.protect t.lock (fun () -> t.is_degraded)
 
 let drain_events t =
   Mutex.protect t.lock (fun () ->
@@ -437,9 +363,7 @@ let drain_events t =
 let report t =
   let s = stats t in
   Printf.sprintf
-    "pool: %d worker(s), %d task(s) (%d deadline miss(es), %d abandoned, %d worker \
-     death(s), %d restart(s), %d quarantined)%s"
-    t.opts.workers s.tasks s.deadline_misses s.abandoned s.worker_deaths s.restarts
-    s.quarantined
+    "pool: %d worker(s), %d task(s) (%d deadline miss(es), %d abandoned, %d restart(s))%s"
+    t.opts.workers s.tasks s.deadline_misses s.abandoned s.restarts
     (if s.degraded then Printf.sprintf " — DEGRADED to serial (%d inline)" s.inline_runs
      else "")

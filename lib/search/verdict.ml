@@ -100,8 +100,8 @@ let pp_verdict ppf = function
   | Pruned reason -> Format.fprintf ppf "pruned (%s)" reason
 
 let is_flaky = function
-  | Step_timeout | Crashed _ -> true
-  | Pass | Fail_verify | Trapped _ | Pruned _ -> false
+  | Crashed _ -> true
+  | Pass | Fail_verify | Trapped _ | Step_timeout | Pruned _ -> false
 
 let classify_exn = function
   | Vm.Trap (addr, reason) -> Trapped (addr, reason)

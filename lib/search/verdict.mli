@@ -1,9 +1,9 @@
 (** Classified evaluation outcomes.
 
     The verdict taxonomy and its total classifier live below every other
-    search module so that {!Pool} (worker supervision), {!Bfs} (evaluation
-    containment) and {!Harness} (retries, counters) can all speak the same
-    language without a dependency cycle. *)
+    search module so that {!Pool} (what escapes a task), {!Bfs}
+    (evaluation containment) and {!Harness} (retries, counters) can all
+    speak the same language without a dependency cycle. *)
 
 type verdict =
   | Pass  (** ran to completion and verified *)
@@ -39,8 +39,10 @@ val verdict_of_string : string -> verdict option
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val is_flaky : verdict -> bool
-(** True for {!Step_timeout} and {!Crashed} — the verdicts a retry might
-    change when faults are transient. A VM trap is deterministic. *)
+(** True for {!Crashed} only — the one verdict a retry might change when
+    faults are transient. A VM trap and a step-budget overrun are
+    deterministic; a wall-clock deadline miss is not retried either,
+    because the pool task whose deadline passed stays cancelled. *)
 
 val classify : (unit -> bool) -> verdict
 (** Run one evaluation thunk and classify its outcome. Total: maps

@@ -9,8 +9,15 @@ let of_spec (spec : Wire.job_spec) =
   Result.bind (Strategy.of_string spec.Wire.strategy) (fun strategy ->
       Result.map (fun formats -> { strategy; formats; shadow = spec.Wire.shadow }) formats)
 
-let context ?(retries = 0) ?inject (spec : Wire.job_spec) =
-  { Wire.bench = spec.bench; cls = spec.cls; eval_steps = spec.eval_steps; retries; inject }
+let context ?(retries = 0) ?inject ?deadline (spec : Wire.job_spec) =
+  {
+    Wire.bench = spec.bench;
+    cls = spec.cls;
+    eval_steps = spec.eval_steps;
+    retries;
+    inject;
+    deadline;
+  }
 
 let target ?cache (ctx : Wire.context) k =
   let faults = Option.map Faults.create ctx.inject in

@@ -20,9 +20,11 @@ val of_spec : Wire.job_spec -> (t, string) result
     [Error] names the rejected token. The spec's [bench], [cls] and
     [eval_steps] are its {!context}; [priority] is the scheduler's. *)
 
-val context : ?retries:int -> ?inject:Faults.spec -> Wire.job_spec -> Wire.context
+val context :
+  ?retries:int -> ?inject:Faults.spec -> ?deadline:float -> Wire.job_spec -> Wire.context
 (** The spec's evaluation context, with a retry budget (default 0) and,
-    inline only, an inject spec. *)
+    inline only, an inject spec and a wall-clock deadline. The caller
+    staffs the pool with that deadline; {!target} does not read it. *)
 
 val target :
   ?cache:Compile.cache -> Wire.context -> Kernel.t -> Faults.t option * Harness.t * Bfs.Target.t

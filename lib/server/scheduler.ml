@@ -245,10 +245,9 @@ let rec runner_loop t =
       | state, text, summary -> finish_run t j state text summary
       | exception e ->
           (* a dead campaign driver is this job's failure, never the
-             scheduler's: requeue, then quarantine — Pool semantics one
-             level up. A requeued job re-walks its campaign against the
-             result store, so the retry re-evaluates nothing already
-             stored. *)
+             scheduler's: requeue, then quarantine. A requeued job re-walks
+             its campaign against the result store, so the retry
+             re-evaluates nothing already stored. *)
           let why = Printexc.to_string e in
           Mutex.protect t.lock (fun () -> j.deaths <- j.deaths + 1);
           if j.deaths >= t.opts.quarantine_after then

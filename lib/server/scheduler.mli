@@ -11,14 +11,13 @@
     ({!Campaign.target}) — identical evaluations submitted by different
     clients run once, server-wide.
 
-    Failure containment mirrors {!Pool}'s semantics one level up: an
-    exception escaping a campaign {e driver} (the search loop itself, not
-    an evaluation — those are already classified) kills only that job's
-    run; the job is requeued and, after [quarantine_after] driver deaths,
-    quarantined with the exception message instead of being retried
-    forever. A requeued job re-walks its campaign from the start while the
-    {!Store} serves every verdict it already holds, so the retry
-    re-evaluates nothing that was stored.
+    Failure containment: an exception escaping a campaign's search loop
+    itself (not an evaluation — those are already classified verdicts)
+    kills only that job's run; the job is requeued and, after
+    [quarantine_after] such deaths, quarantined with the exception
+    message instead of being retried forever. A requeued job re-walks its
+    campaign from the start while the {!Store} serves every verdict it
+    already holds, so the retry re-evaluates nothing that was stored.
 
     With a [state_dir], the same containment extends to {e daemon} death:
     every submission and every terminal outcome is appended to a job-table

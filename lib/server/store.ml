@@ -130,18 +130,26 @@ let program_key program =
    on the compiled backend, so [backend=compiled] is a constant; it stays
    in the key so store logs written when the engine was a choice keep
    hitting. The record's bench and class reach the key through the
-   kernel; its retry budget stays out, so keys keep their pre-record
-   bytes. *)
+   kernel. The retry budget decides a verdict only when an injector makes
+   a rerun differ, so it follows the inject spec; a context with neither
+   an inject spec nor a deadline keeps its pre-record bytes. *)
 let context (ctx : Wire.context) (k : Kernel.t) =
   let reference =
     fnv1a (fun mix ->
         Array.iter (fun x -> mix (Printf.sprintf "%016Lx" (Int64.bits_of_float x))) k.reference)
   in
+  let inject spec =
+    Printf.sprintf "inject=%s;retries=%d" (Faults.to_string spec) ctx.retries
+  in
   String.concat ";"
     (Printf.sprintf "steps=%s;backend=compiled;input=%s;reference=%s"
        (match ctx.eval_steps with None -> "default" | Some n -> string_of_int n)
        k.name reference
-    :: Option.to_list (Option.map (fun spec -> "inject=" ^ Faults.to_string spec) ctx.inject))
+    :: List.filter_map Fun.id
+         [
+           Option.map inject ctx.inject;
+           Option.map (Printf.sprintf "deadline=%g") ctx.deadline;
+         ])
 
 (* Lock held. *)
 let persist t key verdict =

@@ -8,13 +8,13 @@
     where the program key is {!program_key} (the structural fingerprint
     of the candidate tree), the context is {!context} (the input the
     kernel is verified on, the step budget, and an inline campaign's
-    fault-injection spec: two campaigns that differ there may
-    legitimately disagree on a verdict) and {!Config.digest} identifies
-    the candidate's effective per-instruction flags. The campaign daemon
-    shares one store across campaigns and clients, so overlapping
-    campaigns evaluate each shared candidate once, server-wide; an inline
-    [craft search --journal FILE] keeps one store per campaign on disk
-    ({!open_journal}).
+    fault-injection spec, retry budget and wall-clock deadline: two
+    campaigns that differ there may legitimately disagree on a verdict)
+    and {!Config.digest} identifies the candidate's effective
+    per-instruction flags. The campaign daemon shares one store across
+    campaigns and clients, so overlapping campaigns evaluate each shared
+    candidate once, server-wide; an inline [craft search --journal FILE]
+    keeps one store per campaign on disk ({!open_journal}).
 
     Lookups deduplicate {e in flight}: while a key is being computed, a
     second requester blocks on it instead of recomputing — so even two
@@ -67,14 +67,18 @@ val context : Wire.context -> Kernel.t -> string
     campaign from its evaluation context ({!Campaign.context}) and the
     kernel that context resolved to:
     [steps=<budget>;backend=compiled;input=<name>;reference=<digest>],
-    then [;inject=<spec>] inline under [--inject]. It names the kernel's
+    then [;inject=<spec>;retries=<n>] inline under [--inject], then
+    [;deadline=<secs>] inline under [--deadline]. It names the kernel's
     input (its name, which carries the class, e.g. [ep.A], and a digest
     of its reference output), the context's step budget (default: the
-    target's) and its fault-injection spec; the retry budget is not
-    part of it. A verdict earned under one
+    target's), its fault-injection spec with the retry budget that
+    decides whether an injected fault survives, and its wall-clock
+    deadline. A context with neither an inject spec nor a deadline keeps
+    the bytes it had before those fields. A verdict earned under one
     context is never served under another: a campaign at class A misses
-    every class-W verdict, and one under another step budget misses
-    every verdict of the budgeted run. [backend=compiled] is a constant:
+    every class-W verdict, one under another step budget misses every
+    verdict of the budgeted run, and one without a deadline misses the
+    timeouts a deadline caused. [backend=compiled] is a constant:
     every evaluation runs on the compiled backend, and the token stays so
     that store logs written when the engine was a choice keep hitting. *)
 

@@ -19,6 +19,7 @@ type context = {
   eval_steps : int option;
   retries : int;
   inject : Faults.spec option;
+  deadline : float option;
 }
 
 type job_state =
@@ -448,7 +449,8 @@ let get_batch c =
   let eval_steps = get_opt c get_i64 in
   let retries = get_i64 c in
   let items = get_list c get_pair in
-  { lease; context = { bench; cls; eval_steps; retries; inject = None }; items }
+  let context = { bench; cls; eval_steps; retries; inject = None; deadline = None } in
+  { lease; context; items }
 
 let parse_body c tag =
   match tag with

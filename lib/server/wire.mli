@@ -41,10 +41,15 @@ type context = {
   eval_steps : int option;  (** per-evaluation VM step budget override *)
   retries : int;  (** harness retry budget per evaluation *)
   inject : Faults.spec option;  (** inline [--inject] only: never on the wire *)
+  deadline : float option;
+      (** inline [--deadline] only: the pool's per-evaluation wall-clock
+          deadline in seconds, which turns a slow evaluation into a
+          timeout; never on the wire *)
 }
 (** What a verdict depends on besides the configuration: {!Campaign.target}
-    builds the evaluator from it, {!Store.context} the key, and a {!batch}
-    carries it to a worker, so a new knob here reaches all three. *)
+    builds the evaluator from it (and [craft search] its pool, from
+    [deadline]), {!Store.context} the key, and a {!batch} carries it to a
+    worker, so a new knob here reaches all three. *)
 
 type job_state =
   | Queued
@@ -53,8 +58,8 @@ type job_state =
   | Cancelled  (** stopped at a wave boundary by a cancel request *)
   | Failed of string  (** the driver could not run the campaign *)
   | Quarantined of string
-      (** the campaign crashed its runner repeatedly and was isolated,
-          the job-level analogue of {!Pool}'s poison-task quarantine *)
+      (** the campaign's search loop died [quarantine_after] times and
+          the job was isolated instead of requeued again *)
 
 type job_status = {
   id : string;
@@ -83,7 +88,9 @@ type server_stats = {
 
 type batch = {
   lease : string;  (** lease id; every result push must echo it *)
-  context : context;  (** encoded as [bench], [cls], [eval_steps], [retries] *)
+  context : context;
+      (** encoded as [bench], [cls], [eval_steps], [retries]; decoded with
+          no [inject] and no [deadline] *)
   items : (string * string) list;
       (** (store key, config exchange text) per candidate; the key
           doubles as the item key in {!frame.Result_push} *)

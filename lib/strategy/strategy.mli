@@ -49,5 +49,5 @@ val run : ?options:Bfs.options -> token -> Bfs.Target.t -> Bfs.result
     descent with two seeded random restarts ([anneal], strictly sequential,
     so bit-deterministic on every evaluation path). Raises only
     {!Bfs.Aborted}, and only when an evaluator raises it in a campaign
-    without a pool: under a pool it is a worker death, requeued and then
-    quarantined as [Crashed], and the campaign completes. *)
+    without a pool: under a pool it is that item's [Crashed] verdict after
+    one run, and the campaign completes. *)

@@ -134,10 +134,11 @@ let arm t ~key vm =
                       record_fire t;
                       failwith "injected fault: evaluator crash"
                   | Hang ->
-                      (* spin until the step budget runs out *)
+                      (* the injector's hang, not the program's: a crash, so a
+                         retrying harness reruns it (a step-budget overrun of
+                         the program's own is final) *)
                       record_fire t;
-                      vm.Vm.steps <- vm.Vm.max_steps;
-                      raise (Vm.Limit vm.Vm.max_steps)
+                      raise (Injected (Printf.sprintf "forced hang at 0x%06x" addr))
                   | Bitflip ->
                       if flip_replaced vm bit then begin
                         record_fire t;

@@ -15,7 +15,9 @@
 
 type mode =
   | Trap  (** raise {!Injected} at the Nth executed instruction *)
-  | Hang  (** spin the step counter to the budget, then {!Vm.Limit} *)
+  | Hang
+      (** raise {!Injected} at the Nth executed instruction, standing for
+          a run that never finishes: a crash, not a step-budget overrun *)
   | Bitflip
       (** flip one payload bit of a replaced encoding in the float heap
           mid-run (silent data corruption) *)
@@ -70,5 +72,6 @@ exception Corrupted
     runs the configuration again, like any other injected fault. *)
 
 exception Injected of string
-(** What a {!Trap} fault raises: the injector's trap, not the program's,
-    so it classifies as a crash and a retrying harness reruns it. *)
+(** What a {!Trap} or {!Hang} fault raises: the injector's fault, not the
+    program's, so it classifies as a crash and a retrying harness reruns
+    it. *)

@@ -3,11 +3,10 @@
    Every case runs one campaign — bfs, split, delta or anneal — and
    renders everything observable about it as one line of [key=value]
    fields: the final configuration (digest and exchange-text MD5), every
-   Bfs.result field but the pool supervisor's, and MD5s of the
-   evaluation sequence (each evaluation's configuration digest and
-   outcome) and the search log. The committed fixture was recorded with
-   gen_replay.exe; the replay suite recomputes each line and compares it
-   field by field.
+   Bfs.result field, and MD5s of the evaluation sequence (each
+   evaluation's configuration digest and outcome) and the search log.
+   The committed fixture was recorded with gen_replay.exe; the replay
+   suite recomputes each line and compares it field by field.
 
    A parallel wave evaluates in whatever order the pool's workers pick
    its items, so with more than one worker the sequence is cut at every

@@ -400,8 +400,8 @@ let test_campaign_equivalence () =
 
 let test_compiled_pool_deadline () =
   (* a compiled evaluation that runs far past the wall-clock deadline must
-     still be cancelled cooperatively: the pool's watchdog heartbeats per
-     block in compiled code and raises Vm.Deadline on the worker *)
+     still be cancelled cooperatively: the pool's watchdog polls its cancel
+     flag per block in compiled code and raises Vm.Deadline on the worker *)
   let t = Builder.create () in
   let cell = Builder.alloc_f t 1 in
   let main =
@@ -419,7 +419,6 @@ let test_compiled_pool_deadline () =
           workers = 1;
           deadline = Some 0.05;
           grace = 30.0 (* far away: only the cooperative tier may fire *);
-          poll_interval = 0.005;
         }
       ()
   in

@@ -1,7 +1,7 @@
 (* Tests for the supervised evaluation worker pool: ordering, wall-clock
-   deadlines over genuinely non-terminating tasks, worker-death restarts,
-   poison-task quarantine, degradation to serial, and the cooperative
-   VM-watchdog cancellation path. *)
+   deadlines over genuinely non-terminating tasks, classification of what
+   escapes a task, degradation to serial after abandoned workers, and the
+   cooperative VM-watchdog cancellation path. *)
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -50,7 +50,7 @@ let test_results_in_submission_order () =
         out;
       let s = Pool.stats p in
       checki "all completed" 20 s.Pool.completed;
-      checki "no deaths" 0 s.Pool.worker_deaths)
+      checki "no replacement" 0 s.Pool.restarts)
 
 let test_reusable_across_waves () =
   with_pool ~options:{ Pool.default_options with workers = 2 } (fun p ->
@@ -71,7 +71,6 @@ let test_nonterminating_task_times_out () =
         workers = 2;
         deadline = Some 0.1;
         grace = 0.1;
-        poll_interval = 0.005;
       }
     (fun p ->
       let thunks =
@@ -116,7 +115,6 @@ let test_cooperative_vm_cancel () =
         workers = 1;
         deadline = Some 0.05;
         grace = 30.0 (* far away: only the cooperative tier may fire *);
-        poll_interval = 0.005;
       }
     (fun p ->
       let v =
@@ -130,51 +128,55 @@ let test_cooperative_vm_cancel () =
       let s = Pool.stats p in
       checkb "deadline miss recorded" true (s.Pool.deadline_misses >= 1);
       checki "never abandoned" 0 s.Pool.abandoned;
-      checki "no worker lost" 0 s.Pool.worker_deaths)
+      checki "no replacement" 0 s.Pool.restarts)
 
-(* ------------------------------------------------- worker deaths *)
+(* ------------------------------------------------- escaping exceptions *)
 
-let test_worker_death_restart_and_quarantine () =
-  with_pool
-    ~options:{ Pool.default_options with workers = 2; quarantine_after = 2 }
-    (fun p ->
+(* An exception escaping a task is that task's verdict, classified as every
+   other layer classifies it: the task runs once and its worker takes the
+   next task. *)
+let test_escaping_exception_is_the_verdict () =
+  with_pool ~options:{ Pool.default_options with workers = 1 } (fun p ->
+      let raised = Atomic.make 0 in
+      let worker = Atomic.make (-1) in
+      let on_worker () = Atomic.set worker (Domain.self () :> int) in
       let out =
         Pool.run p
           [
-            (fun () -> Verdict.Pass);
-            (fun () -> failwith "evaluator blew past containment");
-            (fun () -> Verdict.Pass);
+            (fun () ->
+              on_worker ();
+              Verdict.Pass);
+            (fun () ->
+              Atomic.incr raised;
+              failwith "evaluator blew past containment");
+            (fun () -> raise (Vm.Trap (7, "boom")));
+            (fun () -> raise (Vm.Limit 5));
           ]
       in
-      (match out with
-      | [ a; b; c ] ->
-          Alcotest.check verdict_t "first" Verdict.Pass a;
-          Alcotest.check verdict_t "third" Verdict.Pass c;
-          (match b with
-          | Verdict.Crashed msg ->
-              checkb "quarantine reason recorded" true
-                (String.length msg > 0
-                && has_substring ~sub:"quarantined" msg)
-          | v -> Alcotest.failf "expected quarantine crash, got %a" Verdict.pp_verdict v)
-      | _ -> Alcotest.fail "wrong arity");
-      let s = Pool.stats p in
-      (* the poison task killed quarantine_after workers, each restarted *)
-      checki "worker deaths" 2 s.Pool.worker_deaths;
-      checki "restarts" 2 s.Pool.restarts;
-      checki "quarantined" 1 s.Pool.quarantined;
-      checkb "pool still healthy" true (not (Pool.degraded p)))
-
-let test_quarantine_after_one () =
-  with_pool
-    ~options:{ Pool.default_options with workers = 1; quarantine_after = 1 }
-    (fun p ->
-      (match run1 p (fun () -> raise Not_found) with
+      Alcotest.check (Alcotest.list verdict_t) "verdicts"
+        [
+          Verdict.Pass;
+          Verdict.Crashed "Failure(\"evaluator blew past containment\")";
+          Verdict.Trapped (7, "boom");
+          Verdict.Step_timeout;
+        ]
+        out;
+      checki "the raising thunk ran once" 1 (Atomic.get raised);
+      let first = Atomic.get worker in
+      Alcotest.check verdict_t "next wave" Verdict.Pass
+        (run1 p (fun () ->
+             on_worker ();
+             Verdict.Pass));
+      checki "the same worker serves the next wave" first (Atomic.get worker);
+      (* the campaign-kill exception ends one task under a pool *)
+      (match run1 p (fun () -> raise Bfs.Aborted) with
       | Verdict.Crashed _ -> ()
-      | v -> Alcotest.failf "expected crash, got %a" Verdict.pp_verdict v);
-      let s = Pool.stats p in
-      checki "one death" 1 s.Pool.worker_deaths;
-      checki "quarantined immediately" 1 s.Pool.quarantined)
+      | v -> Alcotest.failf "Aborted: expected a crash, got %a" Verdict.pp_verdict v);
+      checki "no replacement" 0 (Pool.stats p).Pool.restarts)
 
+(* Abandoned workers are replaced until more than [max_worker_loss] have
+   been lost; then the pool degrades and the submitter runs what is left
+   inline, classifying what escapes it the same way. *)
 let test_collapse_degrades_to_serial () =
   let events = ref [] in
   with_pool
@@ -182,24 +184,23 @@ let test_collapse_degrades_to_serial () =
       {
         Pool.default_options with
         workers = 1;
-        quarantine_after = 2;
+        deadline = Some 0.05;
+        grace = 0.05;
         max_worker_loss = 1;
       }
     ~log:(fun s -> events := s :: !events)
     (fun p ->
       let out =
-        Pool.run p
-          (List.init 6 (fun i () ->
-               if i < 3 then failwith "killer" else Verdict.Pass))
+        Pool.run p (List.init 6 (fun i () -> if i < 2 then hang () else Verdict.Pass))
       in
-      checki "every task resolved" 6 (List.length out);
-      checkb "well-behaved tasks still pass" true
-        (List.exists (( = ) Verdict.Pass) out);
-      checkb "killers resolved as crashes" true
-        (List.exists (function Verdict.Crashed _ -> true | _ -> false) out);
-      checkb "pool degraded" true (Pool.degraded p);
+      Alcotest.check (Alcotest.list verdict_t) "verdicts"
+        Verdict.[ Step_timeout; Step_timeout; Pass; Pass; Pass; Pass ]
+        out;
       let s = Pool.stats p in
-      checkb "inline serial execution took over" true (s.Pool.inline_runs > 0);
+      checkb "pool degraded" true s.Pool.degraded;
+      checki "both hung workers abandoned" 2 s.Pool.abandoned;
+      checki "one replacement staffed" 1 s.Pool.restarts;
+      checki "the rest ran inline" 4 s.Pool.inline_runs;
       checkb "degradation logged" true
         (List.exists (fun e -> has_substring ~sub:"degrading" e) !events);
       (* a degraded pool keeps accepting and finishing work *)
@@ -210,15 +211,26 @@ let test_collapse_degrades_to_serial () =
    way every other layer does *)
 let test_degraded_pool_classifies () =
   with_pool
-    ~options:{ Pool.default_options with workers = 1; quarantine_after = 1; max_worker_loss = 1 }
+    ~options:
+      {
+        Pool.default_options with
+        workers = 1;
+        deadline = Some 0.05;
+        grace = 0.05;
+        max_worker_loss = 0;
+      }
     (fun p ->
-      ignore (Pool.run p [ (fun () -> failwith "killer"); (fun () -> failwith "killer") ]);
-      checkb "pool degraded" true (Pool.degraded p);
+      Alcotest.check verdict_t "the hung task times out" Verdict.Step_timeout (run1 p hang);
+      checkb "pool degraded" true (Pool.stats p).Pool.degraded;
       Alcotest.check verdict_t "a trap is a trap"
         (Verdict.Trapped (7, "boom"))
         (run1 p (fun () -> raise (Vm.Trap (7, "boom"))));
       Alcotest.check verdict_t "a step blowout is a timeout" Verdict.Step_timeout
-        (run1 p (fun () -> raise (Vm.Limit 5))))
+        (run1 p (fun () -> raise (Vm.Limit 5)));
+      (match run1 p (fun () -> raise Not_found) with
+      | Verdict.Crashed _ -> ()
+      | v -> Alcotest.failf "expected a crash, got %a" Verdict.pp_verdict v);
+      checki "all three ran inline" 3 (Pool.stats p).Pool.inline_runs)
 
 (* ------------------------------------------------- Bfs integration *)
 
@@ -245,7 +257,6 @@ let test_bfs_campaign_survives_hung_evaluator () =
         workers = 2;
         deadline = Some 0.1;
         grace = 0.1;
-        poll_interval = 0.005;
       }
     (fun p ->
       let res =
@@ -256,12 +267,9 @@ let test_bfs_campaign_survives_hung_evaluator () =
         (List.exists
            (fun l -> has_prefix ~prefix:"TIMEOUT" l)
            res.Bfs.log);
-      match res.Bfs.supervisor with
-      | None -> Alcotest.fail "supervised campaign must report pool stats"
-      | Some s ->
-          checkb "abandoned the hung worker" true (s.Pool.abandoned >= 1);
-          checkb "rest of the campaign completed" true
-            (s.Pool.completed >= res.Bfs.tested - 1))
+      let s = Pool.stats p in
+      checkb "abandoned the hung worker" true (s.Pool.abandoned >= 1);
+      checkb "rest of the campaign completed" true (s.Pool.completed >= res.Bfs.tested - 1))
 
 let test_bfs_transient_pool_classifies_crashes () =
   (* no caller pool: workers > 1 staffs a transient one; a hostile evaluator
@@ -275,10 +283,7 @@ let test_bfs_transient_pool_classifies_crashes () =
   checkb "search completes" true (res.Bfs.tested > 0);
   checki "nothing passes" 0 res.Bfs.static_replaced;
   checkb "crashes classified in the narration" true
-    (List.exists (fun l -> has_prefix ~prefix:"CRASH" l) res.Bfs.log);
-  (match res.Bfs.supervisor with
-  | None -> Alcotest.fail "transient pool must report stats"
-  | Some s -> checki "no worker death from a contained crash" 0 s.Pool.worker_deaths)
+    (List.exists (fun l -> has_prefix ~prefix:"CRASH" l) res.Bfs.log)
 
 let test_bfs_oom_and_stack_overflow_are_crash_verdicts () =
   (* satellite: OOM / Stack_overflow from an evaluation surface as Crashed
@@ -334,8 +339,7 @@ let suite =
     ("one pool serves many waves", `Quick, test_reusable_across_waves);
     ("non-terminating task times out", `Quick, test_nonterminating_task_times_out);
     ("cooperative VM cancel", `Quick, test_cooperative_vm_cancel);
-    ("worker death, restart, quarantine", `Quick, test_worker_death_restart_and_quarantine);
-    ("quarantine-after-1", `Quick, test_quarantine_after_one);
+    ("what escapes a task is a verdict", `Quick, test_escaping_exception_is_the_verdict);
     ("pool collapse degrades to serial", `Quick, test_collapse_degrades_to_serial);
     ("a degraded pool classifies a trap as a trap", `Quick, test_degraded_pool_classifies);
     ("bfs campaign survives a hung evaluator", `Quick, test_bfs_campaign_survives_hung_evaluator);

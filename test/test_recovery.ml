@@ -174,14 +174,15 @@ let test_store_program_key () =
 
 (* The context is the middle of every store key, so its bytes must not
    change either: [backend=compiled] stays although there is no engine
-   choice any more. *)
+   choice any more. An injected context names its retry budget, and an
+   inline deadline is named too. *)
 let test_store_context_bytes () =
   let ep = Nas_ep.make Kernel.W and cg = Nas_cg.make Kernel.W in
   let inject =
     Result.get_ok (Faults.parse "seed=7,rate=0.2,modes=trap+hang+bitflip,transient")
   in
-  let ctx ?eval_steps ?inject bench =
-    Campaign.context ?inject
+  let ctx ?eval_steps ?retries ?inject ?deadline bench =
+    Campaign.context ?retries ?inject ?deadline
       { Wire.bench; cls = "W"; shadow = false; priority = 0; eval_steps; formats = ""; strategy = "" }
   in
   List.iter
@@ -200,8 +201,14 @@ let test_store_context_bytes () =
         "steps=2000000;backend=compiled;input=cg.W;reference=e4900f7317df8d57",
         Store.context (ctx ~eval_steps:2000000 "cg") cg );
       ( "cg.W budgeted and injected",
-        "steps=2000000;backend=compiled;input=cg.W;reference=e4900f7317df8d57;inject=seed=7,rate=0.2,modes=trap+hang+bitflip,transient",
+        "steps=2000000;backend=compiled;input=cg.W;reference=e4900f7317df8d57;inject=seed=7,rate=0.2,modes=trap+hang+bitflip,transient;retries=0",
         Store.context (ctx ~eval_steps:2000000 ~inject "cg") cg );
+      ( "cg.W budgeted, injected and retried",
+        "steps=2000000;backend=compiled;input=cg.W;reference=e4900f7317df8d57;inject=seed=7,rate=0.2,modes=trap+hang+bitflip,transient;retries=2",
+        Store.context (ctx ~eval_steps:2000000 ~retries:2 ~inject "cg") cg );
+      ( "cg.W under a deadline",
+        "steps=default;backend=compiled;input=cg.W;reference=e4900f7317df8d57;deadline=0.002",
+        Store.context (ctx ~retries:2 ~deadline:0.002 "cg") cg );
     ]
 
 (* -------------------------------------------------------------------- wal *)
@@ -916,6 +923,32 @@ let test_daemon_kill9_recovery () =
                    cold)
                 true (fresh < cold))
 
+(* A final that fails the kernel's own verification is a failure: the
+   search still prints its full report, then exits 3. *)
+let test_failing_final_exits_3 () =
+  match cli_path () with
+  | None -> Alcotest.skip ()
+  | Some cli ->
+      let dir = temp_dir "craft_final" in
+      Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+          let out = Filename.concat dir "out" in
+          let search bench =
+            let rc =
+              Sys.command
+                (Printf.sprintf "%s search %s -c W > %s 2>&1" (Filename.quote cli) bench
+                   (Filename.quote out))
+            in
+            (rc, read_file out)
+          in
+          let rc, mg = search "mg" in
+          checki "mg.W exits 3" 3 rc;
+          checkb "mg.W reports the failing final" true
+            (contains mg "final verification: fail");
+          checkb "after its full report" true (contains mg "verdicts: ");
+          let rc, ep = search "ep" in
+          checki "ep.W exits 0" 0 rc;
+          checkb "ep.W reports a passing final" true (contains ep "final verification: pass"))
+
 let test_second_daemon_refused () =
   match cli_path () with
   | None -> Alcotest.skip ()
@@ -981,6 +1014,7 @@ let suite =
       test_journal_verify;
     Alcotest.test_case "journal: a class-W log resumed at class A serves nothing" `Quick
       test_journal_resume_across_classes;
+    Alcotest.test_case "search: a failing final exits 3" `Quick test_failing_final_exits_3;
     Alcotest.test_case "durable writers: bytes match the recorded fixture" `Quick
       test_durable_bytes;
     Alcotest.test_case "lockfile: acquire/release/stale-reclaim" `Quick test_lockfile;

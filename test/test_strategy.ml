@@ -229,9 +229,9 @@ let test_greedy_always_passes () =
 (* A killed campaign resumes one way: it walks again from the start while
    its store log serves every verdict the killed run recorded, so the
    resumed run is the uninterrupted campaign, configuration for
-   configuration. The kills run sequentially: under a pool, [Aborted] is a
-   worker death, which the pool requeues and quarantines, not the
-   campaign's. *)
+   configuration. The kills run sequentially: under a pool, [Aborted]
+   escapes one task and is that item's crash verdict, not the campaign's
+   death. *)
 let test_journal_resume_is_exact () =
   List.iter
     (fun tok ->

@@ -59,11 +59,15 @@ let server_stats_gen =
       })
     (tup3 (tup5 nat nat nat nat nat) (tup4 nat nat nat nat) (tup3 nat nat float_gen))
 
-(* [inject] is inline-only: the codec never carries it *)
+(* [inject] and [deadline] are inline-only: the codec never carries them *)
 let batch_gen =
   map
     (fun ((lease, bench, cls), (eval_steps, retries, items)) ->
-      { Wire.lease; context = { bench; cls; eval_steps; retries; inject = None }; items })
+      {
+        Wire.lease;
+        context = { bench; cls; eval_steps; retries; inject = None; deadline = None };
+        items;
+      })
     (pair
        (tup3 raw_string raw_string raw_string)
        (tup3 (option int) nat (list_size (int_bound 5) (pair raw_string raw_string))))
@@ -296,7 +300,15 @@ let hostile_formats_payload () =
       (Some
          {
            Wire.lease = "L1";
-           context = { bench = "cg"; cls = "W"; eval_steps = None; retries = 0; inject = None };
+           context =
+             {
+               bench = "cg";
+               cls = "W";
+               eval_steps = None;
+               retries = 0;
+               inject = None;
+               deadline = None;
+             };
            items = [ ("k1", hostile_text) ];
          })
   in

@@ -33,7 +33,15 @@ let status id spec state =
 let batch =
   {
     Wire.lease = "l0007";
-    context = { bench = "cg"; cls = "W"; eval_steps = Some 2000000; retries = 2; inject = None };
+    context =
+      {
+        bench = "cg";
+        cls = "W";
+        eval_steps = Some 2000000;
+        retries = 2;
+        inject = None;
+        deadline = None;
+      };
     items = [ ("a1b2c3d4e5f60718", "e8m23 MODULE: cg\n"); ("0011223344556677", "") ];
   }
 
