@@ -619,17 +619,7 @@ let serve_cmd =
             "fsync the durable result store every N fresh verdicts (1 = per record, 0 = \
              flush only; default 32). Every append is flushed regardless.")
   in
-  let quarantine_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "quarantine-after" ] ~docv:"N"
-          ~doc:
-            "Quarantine a job after its campaign has died $(docv) times (an exception \
-             escaping the search itself, not an evaluation), instead of requeueing it \
-             forever (default 2).")
-  in
-  let run socket tcp jobs wave workers retries quarantine_after state_dir store_fsync
-      fleet_heartbeat =
+  let run socket tcp jobs wave workers retries state_dir store_fsync fleet_heartbeat =
     let addr = server_addr socket tcp in
     let log s = Printf.printf "serve: %s\n%!" s in
     let state_dir = if state_dir = "" then None else Some state_dir in
@@ -661,14 +651,7 @@ let serve_cmd =
     in
     let sched =
       Scheduler.create
-        ~options:
-          {
-            Scheduler.max_concurrent = jobs;
-            wave_width = wave;
-            retries;
-            quarantine_after;
-            state_dir;
-          }
+        ~options:{ Scheduler.max_concurrent = jobs; wave_width = wave; retries; state_dir }
         ~log ~fleet ~resolve ~pool ~cache ~store ()
     in
     let srv = Server.start ~log ~fleet ~scheduler:sched addr in
@@ -719,8 +702,10 @@ let serve_cmd =
       value & opt float 2.0
       & info [ "fleet-heartbeat" ] ~docv:"SECS"
           ~doc:
-            "Heartbeat interval expected from remote workers; a worker silent for two \
-             intervals has its lease requeued (default 2s).")
+            "Heartbeat interval expected from remote workers (default 2s). A worker is \
+             live while it was heard from within three intervals; one silent for two \
+             intervals mid-batch has its lease requeued; an idle worker's lease request \
+             long-polls for half an interval.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -730,7 +715,7 @@ let serve_cmd =
           and lease evaluation batches to remote $(b,craft worker) processes")
     Term.(
       const run $ socket_arg $ tcp_arg $ jobs_arg $ wave_arg $ pool_workers_arg
-      $ retries_arg $ quarantine_arg $ state_dir_arg $ store_fsync_arg
+      $ retries_arg $ state_dir_arg $ store_fsync_arg
       $ fleet_heartbeat_arg)
 
 let worker_cmd =

@@ -3,14 +3,15 @@ type options = {
   deadline : float option;
   grace : float;
   max_worker_loss : int;
-  queue_cap : int;
 }
 
-let default_options =
-  { workers = 2; deadline = None; grace = 0.5; max_worker_loss = 8; queue_cap = 64 }
+let default_options = { workers = 2; deadline = None; grace = 0.5; max_worker_loss = 8 }
 
 (* the monitor's polling period, in seconds *)
 let poll_interval = 0.002
+
+(* bounded queue: max undispatched tasks *)
+let queue_cap = 64
 
 type stats = {
   tasks : int;
@@ -200,7 +201,6 @@ let create ?(options = default_options) ?(log = ignore) () =
           options with
           workers = max 1 options.workers;
           grace = Float.max 0.01 options.grace;
-          queue_cap = max 1 options.queue_cap;
         };
       echo = log;
       lock = Mutex.create ();
@@ -283,7 +283,7 @@ let run t thunks =
         List.iter
           (fun task ->
             while
-              t.alive && (not t.is_degraded) && Queue.length t.work >= t.opts.queue_cap
+              t.alive && (not t.is_degraded) && Queue.length t.work >= queue_cap
             do
               Condition.wait t.cond_done t.lock
             done;

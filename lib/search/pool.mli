@@ -5,9 +5,9 @@
     [Domain.join]: a genuinely non-terminating evaluator (hung {e outside}
     the VM step budget) froze the campaign forever, and each wave paid the
     full domain spawn cost. This pool replaces that with [workers]
-    long-lived domains pulling from a bounded task queue, under a monitor
-    domain that enforces a per-task {e wall-clock} deadline on top of the
-    VM's step budget:
+    long-lived domains pulling from a task queue bounded at 64
+    undispatched tasks, under a monitor domain that enforces a per-task
+    {e wall-clock} deadline on top of the VM's step budget:
 
     - the worker polls a cancellation flag every 256 executed instructions
       through the per-instruction VM watchdog ({!Vm.with_watchdog});
@@ -42,7 +42,6 @@ type options = {
   max_worker_loss : int;
       (** abandoned workers the pool replaces before it degrades to serial
           (default 8) *)
-  queue_cap : int;  (** bounded queue: max undispatched tasks (default 64) *)
 }
 
 val default_options : options

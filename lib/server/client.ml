@@ -1,48 +1,35 @@
 type t = {
   addr : Server.addr;
-  timeout : float option;
-  retry_wall : float;  (* cap on total backoff time per rpc *)
   rng : Rng.t;  (* backoff jitter: keep reconnecting clients desynchronised *)
   lock : Mutex.t;
   mutable fd : Unix.file_descr option;
   mutable open_ : bool;
 }
 
-let sockaddr_of = Server.sockaddr_of
+(* cap on total backoff per call: how long one call rides a daemon
+   restart before it gives up *)
+let retry_wall = 30.0
 
-let dial ?timeout addr =
+(* [watch]/[wait] polling period when the job has nothing new *)
+let poll = 0.05
+
+let dial addr =
   let domain =
     match addr with Server.Unix_path _ -> Unix.PF_UNIX | Server.Tcp _ -> Unix.PF_INET
   in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-  match Unix.connect fd (sockaddr_of addr) with
-  | () ->
-      Option.iter (fun s -> Unix.setsockopt_float fd Unix.SO_RCVTIMEO s) timeout;
-      Ok fd
+  match Unix.connect fd (Server.sockaddr_of addr) with
+  | () -> Ok fd
   | exception Unix.Unix_error (e, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error e
 
-let connect ?(retries = 5) ?(retry_delay = 0.2) ?(retry_wall = 10.0) ?timeout addr =
-  (* a client writing to a daemon that just died must see EPIPE (and ride
-     the restart via the retry loop), not die of a process-killing SIGPIPE *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let rng = Rng.create (Hashtbl.hash (Unix.getpid (), Server.addr_to_string addr)) in
+let reach rng addr =
   let rec go attempt delay =
-    match dial ?timeout addr with
-    | Ok fd ->
-        Ok
-          {
-            addr;
-            timeout;
-            retry_wall = Float.max 0.0 retry_wall;
-            rng;
-            lock = Mutex.create ();
-            fd = Some fd;
-            open_ = true;
-          }
+    match dial addr with
+    | Ok fd -> Ok fd
     | Error e ->
-        if attempt >= retries then
+        if attempt >= 5 then
           Error
             (Printf.sprintf "cannot connect to %s: %s"
                (Server.addr_to_string addr) (Unix.error_message e))
@@ -51,7 +38,16 @@ let connect ?(retries = 5) ?(retry_delay = 0.2) ?(retry_wall = 10.0) ?timeout ad
           go (attempt + 1) (delay *. 2.0)
         end
   in
-  go 0 retry_delay
+  go 0 0.2
+
+let connect addr =
+  (* a client writing to a daemon that just died must see EPIPE (and ride
+     the restart via the retry loop), not die of a process-killing SIGPIPE *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let rng = Rng.create (Hashtbl.hash (Unix.getpid (), Server.addr_to_string addr)) in
+  Result.map
+    (fun fd -> { addr; rng; lock = Mutex.create (); fd = Some fd; open_ = true })
+    (reach rng addr)
 
 let drop_fd t =
   match t.fd with
@@ -65,16 +61,6 @@ let close t =
     t.open_ <- false;
     drop_fd t
   end
-
-(* A failed exchange is either the transport's fault — the daemon is gone
-   or restarting, and trying again later may succeed — or the server's
-   typed refusal, which retrying verbatim cannot fix. [watch]/[wait] key
-   their rejoin loops on the distinction. *)
-type failure =
-  | Lost of string  (* transport: dial/write/read died, or garbled frame *)
-  | Remote of string  (* the daemon answered: a typed Error_reply *)
-
-let failure_message = function Lost why | Remote why -> why
 
 (* Every frame a campaign client sends is a read-only query except Submit
    (re-sending it would enqueue the campaign twice) — even Cancel: the
@@ -97,16 +83,13 @@ let idempotent = function Wire.Submit _ -> false | _ -> true
    it. *)
 let exchange t frame =
   Mutex.protect t.lock (fun () ->
-      if not t.open_ then Error (Remote "connection is closed")
+      if not t.open_ then Error "connection is closed"
       else begin
-        let deadline = Unix.gettimeofday () +. t.retry_wall in
+        let deadline = Unix.gettimeofday () +. retry_wall in
         let backoff delay why fn =
           let pause = delay *. (0.5 +. Rng.uniform t.rng) in
           if Unix.gettimeofday () +. pause > deadline then
-            Error
-              (Lost
-                 (Printf.sprintf "%s: %s (gave up after %.1fs of retries)" fn why
-                    t.retry_wall))
+            Error (Printf.sprintf "%s: %s (gave up after %.0fs of retries)" fn why retry_wall)
           else begin
             Thread.delay pause;
             Ok (delay *. 2.0)
@@ -115,7 +98,7 @@ let exchange t frame =
         let rec attempt delay =
           match t.fd with
           | None -> (
-              match dial ?timeout:t.timeout t.addr with
+              match dial t.addr with
               | Ok fd ->
                   t.fd <- Some fd;
                   attempt delay
@@ -139,7 +122,7 @@ let exchange t frame =
                       match backoff delay why fn with
                       | Ok delay -> attempt delay
                       | Error _ as err -> err
-                    else Error (Lost (Printf.sprintf "%s: %s" fn why))
+                    else Error (Printf.sprintf "%s: %s" fn why)
                   in
                   match Wire.read_frame fd with
                   | Ok reply -> Ok reply
@@ -150,115 +133,60 @@ let exchange t frame =
         attempt 0.05
       end)
 
-let rpc t frame =
-  match exchange t frame with Ok r -> Ok r | Error f -> Error (failure_message f)
-
 let unexpected what = Error (Printf.sprintf "unexpected reply to %s" what)
 
 let submit t spec =
-  match rpc t (Wire.Submit spec) with
+  match exchange t (Wire.Submit spec) with
   | Ok (Wire.Accepted id) -> Ok id
   | Ok (Wire.Error_reply why) | Error why -> Error why
   | Ok _ -> unexpected "submit"
 
 let status ?job t =
-  match rpc t (Wire.Status job) with
+  match exchange t (Wire.Status job) with
   | Ok (Wire.Status_reply jobs) -> Ok jobs
   | Ok (Wire.Error_reply why) | Error why -> Error why
   | Ok _ -> unexpected "status"
 
-let events_x t ~job ~from =
-  match exchange t (Wire.Events { job; from }) with
-  | Ok (Wire.Events_reply { next; events; final }) -> Ok (next, events, final)
-  | Ok (Wire.Error_reply why) -> Error (Remote why)
-  | Error f -> Error f
-  | Ok _ -> Error (Remote "unexpected reply to events")
+let result t job =
+  match exchange t (Wire.Result job) with
+  | Ok (Wire.Result_reply { status; config_text; summary }) -> Ok (status, config_text, summary)
+  | Ok (Wire.Error_reply why) | Error why -> Error why
+  | Ok _ -> unexpected "result"
 
-(* Ride through a daemon restart: on [Lost], keep the cursor and the job
-   id and retry until the daemon has been continuously unreachable for
-   [rejoin] seconds. A recovered daemon knows the job (its WAL re-listed
-   it) and resets a cursor past the end of the rebuilt event log, so the
-   stream resumes instead of dying with the old process. *)
-let watch ?(poll = 0.05) ?(from = 0) ?(rejoin = 30.0) t ~job emit =
-  let rec go cursor lost_since =
-    match events_x t ~job ~from:cursor with
-    | Ok (next, lines, final) ->
-        List.iter emit lines;
+(* A daemon restart mid-stream costs reconnect time inside [exchange],
+   never the stream: a recovered daemon knows the job (its WAL re-listed
+   it) and resets a cursor past the end of the rebuilt event log. *)
+let watch t ~job emit =
+  let rec go cursor =
+    match exchange t (Wire.Events { job; from = cursor }) with
+    | Ok (Wire.Events_reply { next; events; final }) ->
+        List.iter emit events;
         if final then Ok next
         else begin
-          if lines = [] then Thread.delay poll;
-          go next None
+          if events = [] then Thread.delay poll;
+          go next
         end
-    | Error (Remote why) -> Error why
-    | Error (Lost why) ->
-        let t0 = Option.value lost_since ~default:(Unix.gettimeofday ()) in
-        if Unix.gettimeofday () -. t0 >= rejoin then
-          Error (Printf.sprintf "%s (daemon unreachable for %.0fs; giving up)" why rejoin)
-        else begin
-          Thread.delay poll;
-          go cursor (Some t0)
-        end
+    | Ok (Wire.Error_reply why) | Error why -> Error why
+    | Ok _ -> unexpected "events"
   in
-  go from None
+  go 0
 
-let status_x ?job t =
-  match exchange t (Wire.Status job) with
-  | Ok (Wire.Status_reply jobs) -> Ok jobs
-  | Ok (Wire.Error_reply why) -> Error (Remote why)
-  | Error f -> Error f
-  | Ok _ -> Error (Remote "unexpected reply to status")
-
-let result_x t job =
-  match exchange t (Wire.Result job) with
-  | Ok (Wire.Result_reply { status; config_text; summary }) ->
-      Ok (status, config_text, summary)
-  | Ok (Wire.Error_reply why) -> Error (Remote why)
-  | Error f -> Error f
-  | Ok _ -> Error (Remote "unexpected reply to result")
-
-let result t job =
-  match result_x t job with Ok r -> Ok r | Error f -> Error (failure_message f)
-
-let terminal = function
-  | Wire.Done | Wire.Cancelled | Wire.Failed _ | Wire.Quarantined _ -> true
-  | Wire.Queued | Wire.Running -> false
-
-(* Same rejoin discipline as {!watch}: both Status and Result are
-   idempotent queries, so a daemon restart mid-wait costs reconnect time,
-   never the result. *)
-let wait ?(poll = 0.05) ?(rejoin = 30.0) t job =
-  let rec go lost_since =
-    let lost why =
-      let t0 = Option.value lost_since ~default:(Unix.gettimeofday ()) in
-      if Unix.gettimeofday () -. t0 >= rejoin then
-        Error (Printf.sprintf "%s (daemon unreachable for %.0fs; giving up)" why rejoin)
-      else begin
-        Thread.delay poll;
-        go (Some t0)
-      end
-    in
-    match status_x ~job t with
-    | Error (Remote why) -> Error why
-    | Error (Lost why) -> lost why
-    | Ok [ { Wire.state; _ } ] when terminal state -> (
-        match result_x t job with
-        | Ok r -> Ok r
-        | Error (Remote why) -> Error why
-        | Error (Lost why) -> lost why)
-    | Ok _ ->
-        Thread.delay poll;
-        go None
-  in
-  go None
+let rec wait t job =
+  match status ~job t with
+  | Ok [ { Wire.state; _ } ] when Wal.is_terminal state -> result t job
+  | Ok _ ->
+      Thread.delay poll;
+      wait t job
+  | Error why -> Error why
 
 let cancel t job =
-  match rpc t (Wire.Cancel job) with
+  match exchange t (Wire.Cancel job) with
   | Ok (Wire.Cancel_reply ok) -> Ok ok
   | Ok (Wire.Error_reply why) | Error why -> Error why
   | Ok _ -> unexpected "cancel"
 
 let stats t =
-  match rpc t Wire.Stats with
+  match exchange t Wire.Stats with
   | Ok (Wire.Stats_reply s) -> Ok s
   | Ok (Wire.Error_reply why) | Error why -> Error why
   | Ok _ -> unexpected "stats"

@@ -7,34 +7,29 @@
     verbs and the campaign benchmark can pattern-match their way to an
     exit code.
 
-    Reconnects are retried with {e jittered} exponential backoff (so many
-    clients whose daemon restarts do not stampede it in lockstep) and the
-    total backoff per call is capped by [retry_wall]. Failures where the
-    request provably never left — a refused dial, a failed write — are
-    always retried. Once a request has been written, a transport failure
-    retries only {e idempotent} frames (every query including Cancel;
-    everything except Submit, which could be doubled): this is what lets
-    {!watch} and {!wait} ride through a daemon restart, reconnecting with
-    their event cursor and job id and resuming against the recovered job
-    table instead of dying with the old process. *)
+    Every call runs one retry loop. Reconnects are retried with
+    {e jittered} exponential backoff (so many clients whose daemon
+    restarts do not stampede it in lockstep), and the total backoff per
+    call is capped at 30 s. Failures where the request provably never
+    left — a refused dial, a failed write — are always retried. Once a
+    request has been written, a transport failure retries only
+    {e idempotent} frames (every query including Cancel; everything except
+    Submit, which could be doubled): this is what lets {!watch} and
+    {!wait} ride through a daemon restart, reconnecting with their event
+    cursor and job id and resuming against the recovered job table
+    instead of dying with the old process. *)
 
 type t
 
-val connect :
-  ?retries:int ->
-  ?retry_delay:float ->
-  ?retry_wall:float ->
-  ?timeout:float ->
-  Server.addr ->
-  (t, string) result
-(** [connect addr] with up to [retries] (default 5) extra attempts spaced
-    [retry_delay] (default 0.2s, doubling, jittered) apart — a
-    just-started daemon may not be listening yet. [retry_wall] (default
-    10s) caps the total backoff later calls spend reconnecting after
-    [ECONNREFUSED]/[EPIPE]. [timeout] (default none) arms a per-reply
-    receive deadline on the socket. Also ignores [SIGPIPE] process-wide,
-    like {!Server.start}: a write to a daemon that just died must surface
-    as [EPIPE] and feed the retry loop, not kill the client. *)
+val reach : Rng.t -> Server.addr -> (Unix.file_descr, string) result
+(** Dial [addr] with up to 5 extra attempts spaced 0.2 s apart (doubling,
+    jittered by [rng]; about 6 s in all) — a just-started daemon may not
+    be listening yet. {!connect} and {!Worker.run} dial through it. *)
+
+val connect : Server.addr -> (t, string) result
+(** {!reach} [addr]. Also ignores [SIGPIPE] process-wide, like
+    {!Server.start}: a write to a daemon that just died must surface as
+    [EPIPE] and feed the retry loop, not kill the client. *)
 
 val close : t -> unit
 (** Idempotent. *)
@@ -44,33 +39,19 @@ val submit : t -> Wire.job_spec -> (string, string) result
 
 val status : ?job:string -> t -> (Wire.job_status list, string) result
 
-val watch :
-  ?poll:float ->
-  ?from:int ->
-  ?rejoin:float ->
-  t ->
-  job:string ->
-  (string -> unit) ->
-  (int, string) result
+val watch : t -> job:string -> (string -> unit) -> (int, string) result
 (** Stream the job's event lines to the callback until the server reports
     the stream final (the job is terminal and fully drained), polling
-    every [poll] seconds (default 0.05) when no new lines are pending.
-    Returns the final cursor. A transport loss keeps the cursor and
-    retries until the daemon has been continuously unreachable for
-    [rejoin] seconds (default 30): a daemon restarted on its state dir
+    every 50 ms when no new lines are pending. Returns the final cursor.
+    A daemon restarted on its state dir within a call's retry budget
     re-lists the job from its WAL, and the watch resumes. *)
 
 val result : t -> string -> (Wire.job_status * string * string, string) result
 (** [(status, config_text, summary)] of a terminal job. *)
 
-val wait :
-  ?poll:float ->
-  ?rejoin:float ->
-  t ->
-  string ->
-  (Wire.job_status * string * string, string) result
-(** Poll until the job is terminal, then fetch its result, with the same
-    restart-riding [rejoin] budget as {!watch}. *)
+val wait : t -> string -> (Wire.job_status * string * string, string) result
+(** Poll every 50 ms until the job is terminal, then fetch its result;
+    rides a daemon restart as {!watch} does. *)
 
 val cancel : t -> string -> (bool, string) result
 val stats : t -> (Wire.server_stats, string) result

@@ -1,23 +1,12 @@
 type options = {
   heartbeat_every : float;
-  grace : float;
   lease_ttl : float;
   item_deadline : float;
-  poll_timeout : float;
-  max_batch : int;
   quarantine_after : int;
 }
 
 let default_options =
-  {
-    heartbeat_every = 2.0;
-    grace = 2.0;
-    lease_ttl = 60.0;
-    item_deadline = 300.0;
-    poll_timeout = 1.0;
-    max_batch = 8;
-    quarantine_after = 3;
-  }
+  { heartbeat_every = 2.0; lease_ttl = 60.0; item_deadline = 300.0; quarantine_after = 3 }
 
 (* Queued -> Leased -> Done is the happy path. Local is the waiter's
    reclaim: the item went back to in-process evaluation (deadline hit, or
@@ -38,8 +27,7 @@ type lease = { lid : string; items : item list; mutable issued : float }
 type worker = {
   wid : string;
   wname : string;
-  mutable connected : bool;
-  mutable last_seen : float;
+  mutable last_seen : float;  (* [neg_infinity] once it left or restarted *)
   mutable lease : lease option;
   mutable completed : int;
   mutable capacity : int;
@@ -84,14 +72,13 @@ type t = {
 
 let now () = Unix.gettimeofday ()
 
-(* Lock held. A worker counts as live while its connection is up or its
-   two-tier deadline (2 heartbeats + grace) has not yet passed — so a
-   briefly dropped connection (chaos garbage frame, network blip) does not
-   stampede every queued item back to the local pool before the worker can
-   rejoin. *)
+(* Lock held. A worker counts as live exactly while it was heard from
+   within three heartbeat intervals — so a briefly dropped connection
+   (chaos garbage frame, network blip) does not stampede every queued item
+   back to the local pool before the worker can rejoin. *)
 let live_w t w =
   (not (Hashtbl.mem t.quarantine w.wname))
-  && (w.connected || now () -. w.last_seen < (2.0 *. t.opts.heartbeat_every) +. t.opts.grace)
+  && now () -. w.last_seen < 3.0 *. t.opts.heartbeat_every
 
 let count_live t = Hashtbl.fold (fun _ w n -> if live_w t w then n + 1 else n) t.workers 0
 
@@ -129,17 +116,16 @@ let strike t name why =
     Condition.broadcast t.cond
   end
 
-(* Lock held: the fleet's Pool-style two-tier deadline sweep. Tier 1
-   (missed heartbeats, expired lease) requeues the lease and records a
-   strike; tier 2 (grace also spent) declares the worker dead. Requeue is
-   time-based, never disconnect-based: a worker that drops its connection
-   and rejoins quickly keeps its lease and its in-flight work. *)
+(* Lock held: the lease sweep. Missed heartbeats or an expired lease
+   requeue the lease and record a strike. Requeue is time-based, never
+   disconnect-based: a worker that drops its connection and rejoins
+   quickly keeps its lease and its in-flight work. *)
 let sweep t =
   let tnow = now () in
   Hashtbl.iter
     (fun _ w ->
       let age = tnow -. w.last_seen in
-      (match w.lease with
+      match w.lease with
       | Some _ when age > 2.0 *. t.opts.heartbeat_every ->
           requeue_lease t w
             (Printf.sprintf "no heartbeat for %.1fs" age);
@@ -147,12 +133,7 @@ let sweep t =
       | Some l when tnow -. l.issued > t.opts.lease_ttl ->
           requeue_lease t w "lease expired";
           strike t w.wname "lease expired"
-      | _ -> ());
-      if w.connected && age > (2.0 *. t.opts.heartbeat_every) +. t.opts.grace then begin
-        w.connected <- false;
-        t.echo (Printf.sprintf "fleet: %s (%s) presumed dead (%.1fs silent)" w.wid w.wname age);
-        Condition.broadcast t.cond
-      end)
+      | _ -> ())
     t.workers
 
 let monitor_loop t =
@@ -180,7 +161,6 @@ let create ?(options = default_options) ?(log = ignore) () =
     {
       options with
       heartbeat_every = Float.max 0.01 options.heartbeat_every;
-      max_batch = max 1 options.max_batch;
       quarantine_after = max 1 options.quarantine_after;
     }
   in
@@ -304,7 +284,6 @@ let hello t ~name ~wire_version ~reconnect ~capacity =
                    (requeue is time-based) and the worker gets a delta of
                    the items that resolved while it was away, so it never
                    re-evaluates memoized work *)
-                w.connected <- true;
                 w.last_seen <- now ();
                 w.capacity <- max 1 capacity;
                 t.rejoined <- t.rejoined + 1;
@@ -327,9 +306,10 @@ let hello t ~name ~wire_version ~reconnect ~capacity =
                 welcome t w ~wire_version ~already_done
             | None ->
                 (* fresh hello. A previous incarnation with the same name
-                   restarted from scratch: its outstanding lease is dead
-                   weight, requeue it now instead of waiting for the
-                   deadline, and count the death as a strike. *)
+                   restarted from scratch: it is no longer live, its
+                   outstanding lease is dead weight — requeue it now
+                   instead of waiting for the deadline — and the death
+                   counts as a strike. *)
                 Hashtbl.iter
                   (fun _ old ->
                     if old.wname = name then begin
@@ -337,7 +317,7 @@ let hello t ~name ~wire_version ~reconnect ~capacity =
                         requeue_lease t old "worker restarted mid-batch";
                         strike t name "restarted mid-batch"
                       end;
-                      old.connected <- false
+                      old.last_seen <- neg_infinity
                     end)
                   t.workers;
                 if Hashtbl.mem t.quarantine name then
@@ -351,7 +331,6 @@ let hello t ~name ~wire_version ~reconnect ~capacity =
                     {
                       wid;
                       wname = name;
-                      connected = true;
                       last_seen = now ();
                       lease = None;
                       completed = 0;
@@ -369,7 +348,7 @@ let hello t ~name ~wire_version ~reconnect ~capacity =
    items of the oldest item's evaluation context, so the worker builds one
    target and harness per context. *)
 let grab_batch t w capacity =
-  let cap = max 1 (min (min capacity w.capacity) t.opts.max_batch) in
+  let cap = max 1 (min capacity w.capacity) in
   let queued =
     Hashtbl.fold (fun _ it l -> if it.state = Queued then it :: l else l) t.items []
   in
@@ -400,11 +379,11 @@ let lease_request t ~worker ~capacity =
             (Printf.sprintf "worker %s is quarantined: %s" w.wname
                (Hashtbl.find t.quarantine w.wname))
       | Some w ->
-          w.connected <- true;
           (* a new request while a lease is outstanding means the worker
              abandoned it (fresh loop after an ack'd abandon) *)
           if w.lease <> None then requeue_lease t w "superseded by a new lease request";
-          let deadline = now () +. t.opts.poll_timeout in
+          (* an empty queue long-polls for half a heartbeat *)
+          let deadline = now () +. (t.opts.heartbeat_every /. 2.0) in
           let rec poll () =
             w.last_seen <- now ();
             match grab_batch t w capacity with
@@ -424,7 +403,6 @@ let result_push t ~worker ~lease ~results =
       match find_worker t worker with
       | None -> Wire.Error_reply (Printf.sprintf "unknown worker %S (say hello first)" worker)
       | Some w ->
-          w.connected <- true;
           w.last_seen <- now ();
           let owns_lease = match w.lease with Some l -> l.lid = lease | None -> false in
           let accepted = ref 0 and ignored = ref 0 in
@@ -464,7 +442,6 @@ let heartbeat t ~worker ~lease ~completed =
           (* unknown id (daemon restarted): drop everything and re-hello *)
           Wire.Heartbeat_ack { abandon = true }
       | Some w ->
-          w.connected <- true;
           w.last_seen <- now ();
           let abandon =
             Hashtbl.mem t.quarantine w.wname
@@ -481,14 +458,10 @@ let goodbye t ~worker =
       match find_worker t worker with
       | None -> Wire.Goodbye_ack { requeued = 0 }
       | Some w ->
+          (* a clean departure is not a death: it adds no strike and
+             removes none *)
           let before = t.requeued_items in
           requeue_lease t w "clean goodbye";
-          (* a clean departure is not a death: withdraw the strike *)
-          (match Hashtbl.find_opt t.strikes w.wname with
-          | Some n when w.lease = None && t.requeued_items > before ->
-              Hashtbl.replace t.strikes w.wname (max 0 (n - 1))
-          | _ -> ());
-          w.connected <- false;
           w.last_seen <- neg_infinity;  (* not live: do not hold up degradation *)
           t.echo (Printf.sprintf "fleet: %s (%s) left" w.wid w.wname);
           Condition.broadcast t.cond;
@@ -504,16 +477,6 @@ let handle t = function
   | Wire.Heartbeat { worker; lease; completed } -> Some (heartbeat t ~worker ~lease ~completed)
   | Wire.Goodbye worker -> Some (goodbye t ~worker)
   | _ -> None
-
-let disconnected t wid =
-  Mutex.protect t.lock (fun () ->
-      match find_worker t wid with
-      | None -> ()
-      | Some w ->
-          (* a hint, not a death: requeue stays time-based so a quick
-             rejoin keeps the lease *)
-          w.connected <- false;
-          Condition.broadcast t.cond)
 
 (* --------------------------------------------------------------- reports *)
 

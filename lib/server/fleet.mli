@@ -7,19 +7,23 @@
     the scheduler's waves, and stream verdicts back. The dispatcher makes
     worker failure a first-class event rather than a campaign-killer:
 
-    - {b Leases with two-tier deadlines} ({!Pool}'s design one layer up):
-      a worker that misses two heartbeat intervals has its lease requeued
-      and earns a strike (tier 1); after a further grace period it is
-      presumed dead (tier 2). Requeue is time-based, never
-      disconnect-based, so a worker that drops its connection and rejoins
-      quickly keeps its lease and its in-flight work.
+    - {b One liveness clock}: a worker is live exactly while it was heard
+      from (any frame) within three heartbeat intervals. A clean goodbye
+      or a restart under the same name ends the old incarnation's
+      liveness at once.
+    - {b Leases with a heartbeat deadline}: a worker that misses two
+      heartbeat intervals mid-batch, or holds a lease past [lease_ttl],
+      has its lease requeued and earns a strike. Requeue is time-based,
+      never disconnect-based, so a worker that drops its connection and
+      rejoins quickly keeps its lease and its in-flight work.
     - {b Requeue}: items of a dead lease return to the queue with their
       original enqueue time, so the campaign-wide item deadline still
       bounds their total wait.
     - {b Quarantine}: a worker {e name} that repeatedly kills batches
-      (strikes ≥ [quarantine_after]) is banned — later hellos, leases and
-      heartbeats are refused, exactly like the scheduler quarantines a
-      crashing campaign.
+      (strikes ≥ [quarantine_after]: missed heartbeats, an expired lease,
+      a restart mid-batch) is banned — later hellos, leases and
+      heartbeats are refused. A clean goodbye adds no strike and removes
+      none.
     - {b Rejoin with delta sync}: a returning worker presents its old id
       and receives the keys of leased items that resolved while it was
       away, so it never re-evaluates memoized work.
@@ -37,20 +41,21 @@
     no lost and no duplicate verdicts under chaos. *)
 
 type options = {
-  heartbeat_every : float;  (** expected worker heartbeat interval, seconds *)
-  grace : float;  (** tier-2 slack past the missed-heartbeat deadline *)
+  heartbeat_every : float;
+      (** expected worker heartbeat interval, seconds: a worker is live
+          for three of them after it was last heard from, a lease is
+          requeued after two silent ones, and an empty-queue lease request
+          long-polls for half of one *)
   lease_ttl : float;  (** max lease age before it is requeued regardless *)
   item_deadline : float;
       (** max seconds an item waits on the fleet before its waiter
           reclaims it and evaluates locally *)
-  poll_timeout : float;  (** long-poll bound for an empty-queue lease request *)
-  max_batch : int;  (** max items per lease *)
   quarantine_after : int;  (** strikes before a worker name is banned *)
 }
 
 val default_options : options
-(** heartbeat 2s, grace 2s, lease TTL 60s, item deadline 300s, poll 1s,
-    batch 8, quarantine after 3 strikes. *)
+(** heartbeat 2s, lease TTL 60s, item deadline 300s, quarantine after 3
+    strikes. A lease holds at most the worker's own capacity. *)
 
 type stats = {
   joined : int;
@@ -95,15 +100,9 @@ val handle : t -> Wire.frame -> Wire.frame option
     heartbeat / goodbye) to its reply; [None] for campaign frames, which
     the caller routes to the scheduler as before. *)
 
-val disconnected : t -> string -> unit
-(** [disconnected t wid]: the worker's connection dropped. A hint only —
-    leases are reclaimed by the deadline sweep, not by disconnects, so a
-    quick rejoin (see {!handle} on [Worker_hello] with a reconnect token)
-    resumes without losing work. *)
-
 val live_workers : t -> int
-(** Workers currently considered live (connected, or within their
-    two-tier deadline). *)
+(** Workers currently live: heard from within three heartbeat intervals,
+    not quarantined, and neither departed nor replaced by a restart. *)
 
 val stats : t -> stats
 val report : t -> string

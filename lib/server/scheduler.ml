@@ -2,12 +2,10 @@ type options = {
   max_concurrent : int;
   wave_width : int;
   retries : int;
-  quarantine_after : int;
   state_dir : string option;
 }
 
-let default_options =
-  { max_concurrent = 2; wave_width = 2; retries = 0; quarantine_after = 2; state_dir = None }
+let default_options = { max_concurrent = 2; wave_width = 2; retries = 0; state_dir = None }
 
 type job = {
   id : string;
@@ -23,7 +21,6 @@ type job = {
   mutable events_rev : string list;
   mutable n_events : int;
   stop : bool Atomic.t;
-  mutable deaths : int;  (* driver crashes so far *)
   mutable config_text : string;
   mutable summary : string;
 }
@@ -93,7 +90,6 @@ let new_job id spec (campaign, kernel) =
     events_rev = [];
     n_events = 0;
     stop = Atomic.make false;
-    deaths = 0;
     config_text = "";
     summary = "";
   }
@@ -188,6 +184,7 @@ let persist_outcome t j =
       | _ -> ());
       Wal.append wal (Wal.Outcome { id = j.id; state = j.state; summary = j.summary })
 
+(* [state] is terminal: [Done], [Cancelled] or [Failed]. *)
 let finish_run t j state config_text summary =
   Mutex.protect t.lock (fun () ->
       j.wall <- j.wall +. (now () -. j.started);
@@ -195,14 +192,12 @@ let finish_run t j state config_text summary =
       j.state <- state;
       j.config_text <- config_text;
       j.summary <- summary;
-      if Wal.is_terminal state then persist_outcome t j;
+      persist_outcome t j;
       (match state with
       | Wire.Done -> event t j "DONE %s" summary
       | Wire.Cancelled -> event t j "CANCELLED %s" summary
       | Wire.Failed why -> event t j "FAILED %s" why
-      | Wire.Quarantined why -> event t j "QUARANTINED %s" why
-      | Wire.Queued -> event t j "REQUEUED %s" summary
-      | Wire.Running -> ());
+      | Wire.Quarantined _ | Wire.Queued | Wire.Running -> ());
       Condition.broadcast t.cond)
 
 let rec runner_loop t =
@@ -241,23 +236,14 @@ let rec runner_loop t =
         (if j.spec.Wire.shadow then " [shadow-guided]" else "")
         j.spec.Wire.priority;
       Mutex.unlock t.lock;
-      (match run_campaign t j with
-      | state, text, summary -> finish_run t j state text summary
-      | exception e ->
-          (* a dead campaign driver is this job's failure, never the
-             scheduler's: requeue, then quarantine. A requeued job re-walks
-             its campaign against the result store, so the retry
-             re-evaluates nothing already stored. *)
-          let why = Printexc.to_string e in
-          Mutex.protect t.lock (fun () -> j.deaths <- j.deaths + 1);
-          if j.deaths >= t.opts.quarantine_after then
-            finish_run t j
-              (Wire.Quarantined
-                 (Printf.sprintf "driver died %d time(s), last: %s" j.deaths why))
-              "" ""
-          else
-            finish_run t j Wire.Queued ""
-              (Printf.sprintf "driver died (%s); will resume from the store" why));
+      (* a dead campaign driver is this job's failure, never the
+         scheduler's, and it is final: the pool classifies every
+         evaluation, so what escapes is the search's own code (profile run,
+         shadow trace, machine), which would die the same way again *)
+      let state, text, summary =
+        try run_campaign t j with e -> (Wire.Failed (Printexc.to_string e), "", "")
+      in
+      finish_run t j state text summary;
       runner_loop t
 
 (* -------------------------------------------------------------- recovery *)
@@ -273,8 +259,7 @@ let state_label = function
 (* Replay the job-table WAL a previous daemon life left on this state dir:
    jobs with a terminal outcome are re-listed with their persisted result;
    jobs without one are re-queued and re-walk their campaign against the
-   replayed result store — the same machinery a driver death uses,
-   extended to daemon death. *)
+   replayed result store. *)
 let recover t root wal_path =
   let entries = Wal.replay (Wal.load ~path:wal_path) in
   Mutex.protect t.lock (fun () ->
@@ -314,7 +299,6 @@ let create ?(options = default_options) ?(log = ignore) ?fleet ~resolve ~pool ~c
       options with
       max_concurrent = max 1 options.max_concurrent;
       wave_width = max 1 options.wave_width;
-      quarantine_after = max 1 options.quarantine_after;
     }
   in
   let t =

@@ -12,25 +12,24 @@
     clients run once, server-wide.
 
     Failure containment: an exception escaping a campaign's search loop
-    itself (not an evaluation — those are already classified verdicts)
-    kills only that job's run; the job is requeued and, after
-    [quarantine_after] such deaths, quarantined with the exception
-    message instead of being retried forever. A requeued job re-walks its
-    campaign from the start while the {!Store} serves every verdict it
-    already holds, so the retry re-evaluates nothing that was stored.
+    itself (not an evaluation — the pool classifies every one of those
+    into a verdict) ends only that job, [Failed] with the exception
+    message, after one run. What can escape is the search's own code
+    (the profile run, the shadow trace, the search machine), which does
+    not depend on timing, so the job is never rerun.
 
-    With a [state_dir], the same containment extends to {e daemon} death:
-    every submission and every terminal outcome is appended to a job-table
-    {!Wal} under the state dir (terminal configurations also land in a
-    per-job [result] file, written atomically), and {!create} replays it —
-    each recovered spec is admitted again as {!submit} admits one, and a
-    spec that no longer validates or resolves is dropped with a
-    [not recovered] log line; finished jobs are re-listed with their
-    persisted result, unfinished
-    ones are re-queued and re-walk their campaigns against the replayed
-    store exactly as after a driver death. Combined with a durable
-    {!Store} a [kill -9]'d daemon restarted on the same state dir loses no
-    verdicts and no campaigns.
+    With a [state_dir], every submission and every terminal outcome is
+    appended to a job-table {!Wal} under the state dir (terminal
+    configurations also land in a per-job [result] file, written
+    atomically), and {!create} replays it — each recovered spec is
+    admitted again as {!submit} admits one, and a spec that no longer
+    validates or resolves is dropped with a [not recovered] log line;
+    finished jobs are re-listed with their persisted result, unfinished
+    ones (the daemon died under them) are re-queued and re-walk their
+    campaigns from the start while the replayed {!Store} serves every
+    verdict it holds. Combined with a durable {!Store} a [kill -9]'d
+    daemon restarted on the same state dir loses no verdicts and no
+    campaigns.
 
     Cancellation and drain are cooperative through {!Bfs}'s wave-boundary
     stop: a cancelled (or drain-interrupted) job ends [Cancelled] with the
@@ -40,15 +39,13 @@ type options = {
   max_concurrent : int;  (** runner threads (campaigns in flight) *)
   wave_width : int;  (** {!Bfs} wave size ([options.workers]) per job *)
   retries : int;  (** harness retry budget per evaluation *)
-  quarantine_after : int;  (** driver deaths before a job is quarantined *)
   state_dir : string option;
       (** root for the job-table WAL and the per-job [result] files;
           [None] keeps the job table memory-only (tests) *)
 }
 
 val default_options : options
-(** 2 runners, wave width 2, no retries, quarantine after 2, no state
-    dir. *)
+(** 2 runners, wave width 2, no retries, no state dir. *)
 
 type t
 

@@ -78,9 +78,7 @@ let dispatch t frame =
                | Wire.Goodbye_ack _ -> "Goodbye_ack"
                | _ -> "Error_reply")))
 
-(* [worker] remembers the worker id welcomed on this connection, so the
-   close path can hint the fleet that its transport dropped. *)
-let handle t fd peer worker =
+let handle t fd peer =
   let alive = ref true in
   while !alive do
     match Wire.read_frame fd with
@@ -88,9 +86,6 @@ let handle t fd peer worker =
         let reply = try dispatch t frame with e ->
           Wire.Error_reply (Printf.sprintf "internal error: %s" (Printexc.to_string e))
         in
-        (match reply with
-        | Wire.Worker_welcome { worker = wid; _ } -> worker := Some wid
-        | _ -> ());
         try Wire.write_frame fd reply with Unix.Unix_error _ -> alive := false)
     | Error (Wire.Need_more _) ->
         (* clean EOF between frames: the client hung up *)
@@ -154,18 +149,14 @@ let accept_loop t =
           incr n;
           let peer = Printf.sprintf "client#%d" !n in
           t.echo (Printf.sprintf "%s: connected" peer);
-          let worker = ref None in
           let th =
             Thread.create
               (fun () ->
-                (try handle t fd peer worker
+                (try handle t fd peer
                  with e ->
                    t.echo
                      (Printf.sprintf "%s: handler died: %s" peer (Printexc.to_string e)));
                 forget t fd;
-                (match (!worker, t.fleet) with
-                | Some wid, Some fleet -> Fleet.disconnected fleet wid
-                | _ -> ());
                 t.echo (Printf.sprintf "%s: disconnected" peer))
               ()
           in
@@ -186,7 +177,7 @@ let sockaddr_of = function
       in
       Unix.ADDR_INET (ip, port)
 
-let start ?(backlog = 16) ?(log = ignore) ?fleet ?(max_conns = 64) ~scheduler addr =
+let start ?(log = ignore) ?fleet ?(max_conns = 64) ~scheduler addr =
   (* a write to a peer that died mid-frame (a SIGKILLed worker, a gone
      client) must surface as EPIPE — which every write here handles — not
      as a process-killing SIGPIPE *)
@@ -199,7 +190,7 @@ let start ?(backlog = 16) ?(log = ignore) ?fleet ?(max_conns = 64) ~scheduler ad
   (try
      if domain = Unix.PF_INET then Unix.setsockopt listener Unix.SO_REUSEADDR true;
      Unix.bind listener (sockaddr_of addr);
-     Unix.listen listener backlog
+     Unix.listen listener 16
    with e ->
      (try Unix.close listener with Unix.Unix_error _ -> ());
      raise e);

@@ -28,22 +28,21 @@ val addr_of_string : string -> (addr, string) result
 type t
 
 val start :
-  ?backlog:int ->
   ?log:(string -> unit) ->
   ?fleet:Fleet.t ->
   ?max_conns:int ->
   scheduler:Scheduler.t ->
   addr ->
   t
-(** Bind, listen and staff the accept thread. An existing socket file at a
-    [Unix_path] is replaced (stale files from a killed daemon would
-    otherwise wedge restarts). Raises [Unix.Unix_error] when the address
-    cannot be bound.
+(** Bind, listen (backlog 16) and staff the accept thread. An existing
+    socket file at a [Unix_path] is replaced (stale files from a killed
+    daemon would otherwise wedge restarts). Raises [Unix.Unix_error] when
+    the address cannot be bound.
 
     With [fleet], worker frames (hello / lease / result / heartbeat /
-    goodbye) are routed to the {!Fleet} dispatcher and a dropped worker
-    connection is reported to it; without, workers are refused with a
-    typed [Error_reply]. [max_conns] (default 64) is a soft descriptor
+    goodbye) are routed to the {!Fleet} dispatcher, whose liveness clock
+    alone decides when a worker is gone; without, workers are refused
+    with a typed [Error_reply]. [max_conns] (default 64) is a soft descriptor
     limit: connections beyond it are shed with a typed [Error_reply]
     before accept(2) can run the process into [EMFILE]; the accept loop
     additionally survives [EINTR] and backs off on a genuine

@@ -56,10 +56,13 @@ type job_state =
   | Running
   | Done
   | Cancelled  (** stopped at a wave boundary by a cancel request *)
-  | Failed of string  (** the driver could not run the campaign *)
+  | Failed of string
+      (** the campaign driver raised: the exception's text, after one run *)
   | Quarantined of string
-      (** the campaign's search loop died [quarantine_after] times and
-          the job was isolated instead of requeued again *)
+      (** written only by older daemons, which reran a dead driver and
+          isolated the job after repeated deaths; this daemon never
+          writes it, but the codecs (wire tag 5, WAL [quarantined:]) still
+          read it so their WALs and frames decode *)
 
 type job_status = {
   id : string;

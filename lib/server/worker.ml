@@ -32,31 +32,7 @@ let junk = Bytes.of_string "\x00\x00\x00\x04\xee\xee\xee\xee"
 
 let now () = Unix.gettimeofday ()
 
-let dial ?(retries = 10) ?(delay = 0.05) rng addr =
-  let sockaddr = Server.sockaddr_of addr in
-  let domain =
-    match addr with Server.Unix_path _ -> Unix.PF_UNIX | Server.Tcp _ -> Unix.PF_INET
-  in
-  let rec go attempt delay =
-    let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
-    match Unix.connect fd sockaddr with
-    | () -> Ok fd
-    | exception Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        if attempt >= retries then
-          Error
-            (Printf.sprintf "cannot reach %s: %s" (Server.addr_to_string addr)
-               (Unix.error_message e))
-        else begin
-          (* jittered exponential backoff, same discipline as Client *)
-          Thread.delay (delay *. (0.5 +. Rng.uniform rng));
-          go (attempt + 1) (Float.min 2.0 (delay *. 2.0))
-        end
-  in
-  go 0 delay
-
-let run ?name ?(capacity = 4) ?chaos ?(log = ignore) ?(dial_retries = 10)
-    ?(stop = fun () -> false) ~resolve addr =
+let run ?name ?(capacity = 4) ?chaos ?(log = ignore) ?(stop = fun () -> false) ~resolve addr =
   (* a daemon that dies mid-frame must surface as EPIPE (-> Conn_lost ->
      rejoin), not as a process-killing SIGPIPE *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -259,7 +235,7 @@ let run ?name ?(capacity = 4) ?chaos ?(log = ignore) ?(dial_retries = 10)
   let rec connect_loop () =
     if stop () then stats ()
     else
-      match dial ~retries:dial_retries rng addr with
+      match Client.reach rng addr with
       | Error why ->
           log (Printf.sprintf "%s: giving up: %s" name why);
           stats ()

@@ -34,17 +34,17 @@ val run :
   ?capacity:int ->
   ?chaos:Chaos.t ->
   ?log:(string -> unit) ->
-  ?dial_retries:int ->
   ?stop:(unit -> bool) ->
   resolve:(bench:string -> cls:string -> (Kernel.t, string) result) ->
   Server.addr ->
   stats
-(** [run ~resolve addr] works until the daemon goes away (dial budget
-    exhausted), refuses us (quarantine, version mismatch), or [stop ()]
-    turns true (the worker then says [Goodbye] so its lease requeues
-    immediately). [name] defaults to ["worker-<pid>"] and is the
-    daemon-side quarantine identity. [chaos]'s [Kill] action raises
-    {!Chaos.Killed} out of [run] — process hosts turn it into
+(** [run ~resolve addr] works until the daemon goes away (every dial,
+    first or rejoining, goes through {!Client.reach}, which gives up
+    after 5 redials, about 6 s), refuses us (quarantine, version
+    mismatch), or [stop ()] turns true (the worker then says [Goodbye] so
+    its lease requeues immediately). [name] defaults to ["worker-<pid>"]
+    and is the daemon-side quarantine identity. [chaos]'s [Kill] action
+    raises {!Chaos.Killed} out of [run] — process hosts turn it into
     [exit 137], test hosts catch it and restart [run] with fresh state,
     both faithful to a real SIGKILL. Thread-safe to host several workers
     in one process (each gets its own compile cache and harnesses). *)

@@ -52,15 +52,7 @@ let worker_resolve ~bench ~cls =
   else Error (Printf.sprintf "unknown %s.%s" bench cls)
 
 let fast_fleet =
-  {
-    Fleet.heartbeat_every = 0.1;
-    grace = 0.1;
-    lease_ttl = 5.0;
-    item_deadline = 20.0;
-    poll_timeout = 0.1;
-    max_batch = 4;
-    quarantine_after = 3;
-  }
+  { Fleet.heartbeat_every = 0.1; lease_ttl = 5.0; item_deadline = 20.0; quarantine_after = 3 }
 
 let temp_socket () =
   let path = Filename.temp_file "craft_fleet" ".sock" in
@@ -105,8 +97,7 @@ let host_worker ?chaos ~name ~stop addr =
     (fun () ->
       let rec go () =
         match
-          Worker.run ~name ~capacity:3 ?chaos ~dial_retries:3 ~stop
-            ~resolve:worker_resolve addr
+          Worker.run ~name ~capacity:3 ?chaos ~stop ~resolve:worker_resolve addr
         with
         | (_ : Worker.stats) -> ()
         | exception Chaos.Killed -> go ()
@@ -285,7 +276,7 @@ let spawn_eval fleet ?(ctx = ctx) ~key
 let pass = Verdict.verdict_to_string Verdict.Pass
 
 let test_protocol_walkthrough () =
-  let fleet = Fleet.create ~options:{ fast_fleet with poll_timeout = 0.02 } () in
+  let fleet = Fleet.create ~options:fast_fleet () in
   Fun.protect ~finally:(fun () -> Fleet.stop fleet) (fun () ->
       let wid, ver, delta = Result.get_ok (hello fleet "alpha") in
       checki "negotiated version" Wire.version ver;
@@ -325,7 +316,7 @@ let test_protocol_walkthrough () =
    only in the step budget are never leased together, even when one's
    item was queued between the other's. *)
 let test_lease_never_mixes_contexts () =
-  let fleet = Fleet.create ~options:{ fast_fleet with poll_timeout = 0.02 } () in
+  let fleet = Fleet.create ~options:fast_fleet () in
   Fun.protect ~finally:(fun () -> Fleet.stop fleet) (fun () ->
       let wid, _, _ = Result.get_ok (hello fleet "alpha") in
       let budgeted = { ctx with Wire.eval_steps = Some 120000 } in
@@ -358,7 +349,7 @@ let test_lease_never_mixes_contexts () =
       List.iter (fun (th, _) -> Thread.join th) spawned)
 
 let test_rejoin_delta_sync () =
-  let fleet = Fleet.create ~options:{ fast_fleet with poll_timeout = 0.02 } () in
+  let fleet = Fleet.create ~options:fast_fleet () in
   Fun.protect ~finally:(fun () -> Fleet.stop fleet) (fun () ->
       let wid, _, _ = Result.get_ok (hello fleet "alpha") in
       let th1, r1 = spawn_eval fleet ~key:"k1" () in
@@ -376,8 +367,8 @@ let test_rejoin_delta_sync () =
       in
       let b = grab 0 in
       checkb "k1 resolved" true (push fleet wid b.Wire.lease [ ("k1", pass) ] = (1, 0));
-      (* the connection drops — a hint, not a death: the lease survives *)
-      Fleet.disconnected fleet wid;
+      (* the connection drops and the worker rejoins with its token: the
+         lease survives *)
       let wid', _, delta = Result.get_ok (hello ~reconnect:wid fleet "alpha") in
       checkb "same worker id on rejoin" true (wid' = wid);
       checkb "delta sync names the resolved item" true (delta = [ "k1" ]);
@@ -396,7 +387,7 @@ let test_rejoin_delta_sync () =
 let test_quarantine_after_repeated_deaths () =
   let fleet =
     Fleet.create
-      ~options:{ fast_fleet with poll_timeout = 0.02; quarantine_after = 2; item_deadline = 10.0 }
+      ~options:{ fast_fleet with quarantine_after = 2; item_deadline = 10.0 }
       ()
   in
   Fun.protect ~finally:(fun () -> Fleet.stop fleet) (fun () ->
@@ -433,6 +424,51 @@ let test_quarantine_after_repeated_deaths () =
       | Some (Wire.Heartbeat_ack { abandon }) -> checkb "heartbeat abandons" true abandon
       | _ -> Alcotest.fail "unexpected heartbeat reply")
 
+(* A fresh hello under a known name is a restart: the old incarnation
+   stops counting as live at once, so the fleet counts the worker once (a
+   slow heartbeat keeps the new incarnation live however slow the host). *)
+let test_restarted_worker_counts_once () =
+  let fleet = Fleet.create ~options:{ fast_fleet with heartbeat_every = 1.0 } () in
+  Fun.protect ~finally:(fun () -> Fleet.stop fleet) (fun () ->
+      let first, _, _ = Result.get_ok (hello fleet "alpha") in
+      let second, _, _ = Result.get_ok (hello fleet "alpha") in
+      checkb "the restart is a new incarnation" true (first <> second);
+      checki "one live worker" 1 (Fleet.live_workers fleet))
+
+(* A clean goodbye adds no strike and removes none: a worker that
+   alternates restarts mid-batch with clean goodbyes is still banned after
+   [quarantine_after] restarts. An idle second worker keeps the item on
+   the fleet across the goodbye (with no live worker left the waiter would
+   rightly reclaim it), and a slow heartbeat keeps the sweep out. *)
+let test_goodbye_keeps_strikes () =
+  let fleet =
+    Fleet.create
+      ~options:{ fast_fleet with heartbeat_every = 1.0; quarantine_after = 2; item_deadline = 10.0 }
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Fleet.stop fleet) (fun () ->
+      let steady, _, _ = Result.get_ok (hello fleet "steady") in
+      let th, result = spawn_eval fleet ~key:"k1" ~local:(fun () -> Verdict.Pass) () in
+      let w1, _, _ = Result.get_ok (hello fleet "flaky") in
+      let (_ : Wire.batch) = lease_some fleet w1 0 in
+      (* restart mid-batch: strike 1 *)
+      let w2, _, _ = Result.get_ok (hello fleet "flaky") in
+      let (_ : Wire.batch) = lease_some fleet w2 0 in
+      (match Fleet.handle fleet (Wire.Goodbye w2) with
+      | Some (Wire.Goodbye_ack { requeued }) -> checki "the goodbye requeued the lease" 1 requeued
+      | _ -> Alcotest.fail "unexpected goodbye reply");
+      let w3, _, _ = Result.get_ok (hello fleet "flaky") in
+      let (_ : Wire.batch) = lease_some fleet w3 0 in
+      (* restart mid-batch again: strike 2 -> quarantined, hello refused *)
+      (match hello fleet "flaky" with
+      | Ok _ -> Alcotest.fail "the goodbye withdrew a strike it never recorded"
+      | Error why -> checkb "refusal names quarantine" true (contains why "quarantin"));
+      (* the idle worker leaves, the fleet is empty, the waiter reclaims *)
+      ignore (Fleet.handle fleet (Wire.Goodbye steady));
+      Thread.join th;
+      checkb "eval fell back to local" true
+        (match !result with Some (Verdict.Pass, `Local) -> true | _ -> false))
+
 (* A worker fed a config text whose flag column carries an unknown format
    token refuses it with a typed parse error: the item is counted as
    skipped (never a fabricated verdict), the connection survives, and the
@@ -440,7 +476,7 @@ let test_quarantine_after_repeated_deaths () =
    item falls back to the waiter's local closure at the item deadline. *)
 let test_worker_skips_unknown_format () =
   with_fleet_stack
-    ~fleet_opts:{ fast_fleet with poll_timeout = 0.02; lease_ttl = 0.3; item_deadline = 1.0 }
+    ~fleet_opts:{ fast_fleet with lease_ttl = 0.3; item_deadline = 1.0 }
     (fun _sched _store fleet addr ->
       let stop_flag = Atomic.make false in
       let wstats = ref None in
@@ -449,7 +485,7 @@ let test_worker_skips_unknown_format () =
           (fun () ->
             wstats :=
               Some
-                (Worker.run ~name:"strict" ~capacity:2 ~dial_retries:3
+                (Worker.run ~name:"strict" ~capacity:2
                    ~stop:(fun () -> Atomic.get stop_flag)
                    ~resolve:worker_resolve addr))
           ()
@@ -495,5 +531,7 @@ let suite =
     ("fleet: a lease never mixes contexts", `Quick, test_lease_never_mixes_contexts);
     ("fleet: rejoin with result-store delta sync", `Quick, test_rejoin_delta_sync);
     ("fleet: repeated deaths quarantine the worker", `Quick, test_quarantine_after_repeated_deaths);
+    ("fleet: a restarted worker counts once", `Quick, test_restarted_worker_counts_once);
+    ("fleet: a clean goodbye keeps earlier strikes", `Quick, test_goodbye_keeps_strikes);
     ("fleet: unknown format token skipped, connection survives", `Quick, test_worker_skips_unknown_format);
   ]

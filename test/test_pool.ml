@@ -182,8 +182,7 @@ let test_collapse_degrades_to_serial () =
   with_pool
     ~options:
       {
-        Pool.default_options with
-        workers = 1;
+        Pool.workers = 1;
         deadline = Some 0.05;
         grace = 0.05;
         max_worker_loss = 1;
@@ -213,8 +212,7 @@ let test_degraded_pool_classifies () =
   with_pool
     ~options:
       {
-        Pool.default_options with
-        workers = 1;
+        Pool.workers = 1;
         deadline = Some 0.05;
         grace = 0.05;
         max_worker_loss = 0;

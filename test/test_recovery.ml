@@ -848,8 +848,20 @@ let test_daemon_kill9_recovery () =
             { Wire.bench = "cg"; cls = "W"; shadow = false; priority = 0; eval_steps = None; formats = ""; strategy = "" }
           in
           let id = Result.get_ok (Client.submit c spec) in
+          (* a second client is already watching the job when the daemon
+             dies: its one retry loop must ride the restart to DONE *)
+          let c2 = Result.get_ok (Client.connect (Server.Unix_path socket)) in
+          let watched_lines = ref [] in
+          let watched = ref (Error "watch never returned") in
+          let watcher =
+            Thread.create
+              (fun () ->
+                watched := Client.watch c2 ~job:id (fun l -> watched_lines := l :: !watched_lines))
+              ()
+          in
           let stored () = List.length (Store.scan ~path:(Filename.concat state_dir "store.log")) in
-          wait_for "first stored verdict" (fun () -> stored () >= 1);
+          wait_for "first stored verdict while watched" (fun () ->
+              stored () >= 1 && !watched_lines <> []);
           Unix.kill pid Sys.sigkill;
           (match Unix.waitpid [] pid with
           | _, Unix.WSIGNALED s when s = Sys.sigkill -> ()
@@ -861,10 +873,17 @@ let test_daemon_kill9_recovery () =
           let pid2 = spawn_daemon cli ~socket ~state_dir ~log in
           killed := Some pid2;
           let status, recovered_text, _ =
-            match Client.wait ~rejoin:60.0 c id with
+            match Client.wait c id with
             | Ok r -> r
             | Error why -> Alcotest.failf "wait across restart failed: %s" why
           in
+          Thread.join watcher;
+          Client.close c2;
+          (match !watched with
+          | Ok _ -> ()
+          | Error why -> Alcotest.failf "watch across restart failed: %s" why);
+          checkb "the watch emitted the DONE line" true
+            (List.exists (fun l -> contains l "DONE") !watched_lines);
           checkb "recovered job is done" true (status.Wire.state = Wire.Done);
           checkb "non-empty final config" true (String.length recovered_text > 0);
           let served = status.Wire.store_hits in

@@ -1,7 +1,7 @@
 (* End-to-end tests for the campaign server: the cross-campaign result
    store (memoization + in-flight dedup + exception withdrawal), the
    scheduler (identical finals vs inline search, store-served duplicate
-   campaigns, priorities, cancellation, poison-job quarantine), and the
+   campaigns, priorities, cancellation, a poison job failing once), and the
    socket daemon with the typed client (including a hostile peer). *)
 
 let checkb = Alcotest.check Alcotest.bool
@@ -353,12 +353,21 @@ let test_priorities_and_cancel () =
       | Error e -> Alcotest.fail e);
       checkb "terminal job does not cancel again" false (Scheduler.cancel sched cancelled))
 
-let test_poison_job_quarantine () =
+let test_poison_job_fails_once () =
   let k = synthetic_kernel ~n_ops:4 ~poison:[] () in
   (* an exception from an *evaluation* is classified by the harness; to
      poison the campaign DRIVER itself, blow up the shadow trace that a
      shadow-guided job runs before searching *)
-  let poisoned = { k with Kernel.setup = (fun _ -> failwith "driver poison") } in
+  let runs = Atomic.make 0 in
+  let poisoned =
+    {
+      k with
+      Kernel.setup =
+        (fun _ ->
+          Atomic.incr runs;
+          failwith "driver poison");
+    }
+  in
   let dir = Filename.temp_file "craft_server_state" "" in
   Sys.remove dir;
   let options = { Scheduler.default_options with state_dir = Some dir } in
@@ -368,19 +377,20 @@ let test_poison_job_quarantine () =
       in
       let status, _, _ = wait_done sched id in
       (match status.Wire.state with
-      | Wire.Quarantined _ -> ()
-      | st ->
-          Alcotest.failf "expected quarantine, got %s"
-            (match st with
-            | Wire.Done -> "done"
-            | Wire.Cancelled -> "cancelled"
-            | Wire.Failed w -> "failed: " ^ w
-            | _ -> "queued/running"));
-      (* the quarantine is persisted: a restarted daemon re-lists it *)
-      checkb "quarantine recorded in the job WAL" true
-        (match List.assoc_opt id (Wal.replay (Wal.load ~path:(Filename.concat dir "jobs.wal"))) with
-        | Some { Wal.outcome = Some (Wire.Quarantined _, _); _ } -> true
-        | _ -> false));
+      | Wire.Failed why -> checkb "failure names the exception" true (contains why "driver poison")
+      | Wire.Done -> Alcotest.fail "expected failure, got done"
+      | Wire.Cancelled -> Alcotest.fail "expected failure, got cancelled"
+      | Wire.Quarantined why -> Alcotest.failf "expected failure, got quarantined: %s" why
+      | Wire.Queued | Wire.Running -> Alcotest.fail "expected failure, got queued/running");
+      checki "the poisoned driver ran once" 1 (Atomic.get runs);
+      (* the failure is persisted: a restarted daemon re-lists it *)
+      let wal = Filename.concat dir "jobs.wal" in
+      checkb "failure recorded in the job WAL" true
+        (match List.assoc_opt id (Wal.replay (Wal.load ~path:wal)) with
+        | Some { Wal.outcome = Some (Wire.Failed _, _); _ } -> true
+        | _ -> false);
+      checkb "the WAL record reads failed:" true
+        (contains (In_channel.with_open_bin wal In_channel.input_all) "failed:"));
   ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir)))
 
 let test_resolve_rejection () =
@@ -593,7 +603,7 @@ let suite =
       `Quick,
       test_inline_journal_serves_daemon );
     ("scheduler: priorities and cancellation", `Quick, test_priorities_and_cancel);
-    ("scheduler: poison job is quarantined", `Quick, test_poison_job_quarantine);
+    ("scheduler: a poison job fails after one run", `Quick, test_poison_job_fails_once);
     ("scheduler: resolve rejection and unknown jobs", `Quick, test_resolve_rejection);
     ("daemon: submit/watch/result over a socket", `Quick, test_daemon_over_socket);
     ("daemon: survives hostile clients", `Quick, test_daemon_survives_hostile_client);
